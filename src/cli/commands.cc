@@ -19,6 +19,7 @@
 #include "http/gateway.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "net/session_ops.h"
 #include "mining/pagescan_kernels.h"
 #include "query/executor.h"
 #include "storage/buffer_pool.h"
@@ -604,72 +605,24 @@ Status RunEditScript(GMineEngine* engine, core::EditQueue* queue,
     ++line_no;
     line = TrimWhitespace(line);
     if (line.empty() || line[0] == '#') continue;
-    size_t sp = line.find(' ');
-    std::string op(sp == std::string_view::npos ? line
-                                                : line.substr(0, sp));
-    std::string_view rest = sp == std::string_view::npos
-                                ? std::string_view()
-                                : TrimWhitespace(line.substr(sp + 1));
-    auto bad = [&](const char* what) {
-      return Status::InvalidArgument(
-          StrFormat("edit script line %zu: %s in '%.*s'", line_no, what,
-                    static_cast<int>(line.size()), line.data()));
-    };
-    auto parse_two = [&](uint64_t* u, uint64_t* v,
-                         std::string_view* tail) -> bool {
-      size_t s1 = rest.find(' ');
-      if (s1 == std::string_view::npos) return false;
-      std::string_view second = TrimWhitespace(rest.substr(s1 + 1));
-      size_t s2 = second.find(' ');
-      std::string_view vtok =
-          s2 == std::string_view::npos ? second : second.substr(0, s2);
-      *tail = s2 == std::string_view::npos
-                  ? std::string_view()
-                  : TrimWhitespace(second.substr(s2 + 1));
-      return ParseUint64(rest.substr(0, s1), u) && ParseUint64(vtok, v);
-    };
-    if (op == "apply") {
+    if (line.substr(0, line.find(' ')) == "apply") {
       GMINE_RETURN_IF_ERROR(apply_batch());
-    } else if (op == "add-node") {
-      GMINE_RETURN_IF_ERROR(ensure_edit());
-      graph::NodeId id = edit->AddNode();
-      pending_labels.emplace_back(rest);
-      *out += StrFormat("add-node -> provisional id %u%s%.*s\n", id,
-                        rest.empty() ? "" : " label=",
-                        static_cast<int>(rest.size()), rest.data());
-    } else if (op == "add-edge") {
-      GMINE_RETURN_IF_ERROR(ensure_edit());
-      uint64_t u = 0;
-      uint64_t v = 0;
-      std::string_view tail;
-      if (!parse_two(&u, &v, &tail)) return bad("expected 'add-edge U V [W]'");
-      double w = 1.0;
-      if (!tail.empty() && !ParseDouble(tail, &w)) {
-        return bad("bad edge weight");
-      }
-      edit->AddEdge(static_cast<graph::NodeId>(u),
-                    static_cast<graph::NodeId>(v), static_cast<float>(w));
-    } else if (op == "remove-edge") {
-      GMINE_RETURN_IF_ERROR(ensure_edit());
-      uint64_t u = 0;
-      uint64_t v = 0;
-      std::string_view tail;
-      if (!parse_two(&u, &v, &tail) || !tail.empty()) {
-        return bad("expected 'remove-edge U V'");
-      }
-      edit->RemoveEdge(static_cast<graph::NodeId>(u),
-                       static_cast<graph::NodeId>(v));
-    } else if (op == "remove-node") {
-      GMINE_RETURN_IF_ERROR(ensure_edit());
-      uint64_t v = 0;
-      if (rest.empty() || !ParseUint64(rest, &v)) {
-        return bad("expected 'remove-node V'");
-      }
-      edit->RemoveNode(static_cast<graph::NodeId>(v));
-    } else {
-      return bad(
-          "unknown op (ops: add-node add-edge remove-edge remove-node "
-          "apply)");
+      continue;
+    }
+    auto op = net::ParseEditOp(line);
+    if (!op.ok()) {
+      return Status::InvalidArgument(
+          StrFormat("edit script line %zu: %s in '%.*s'", line_no,
+                    op.status().message().c_str(),
+                    static_cast<int>(line.size()), line.data()));
+    }
+    GMINE_RETURN_IF_ERROR(ensure_edit());
+    const graph::NodeId id =
+        net::QueueEditOp(op.value(), &*edit, &pending_labels);
+    if (op.value().kind == net::EditOp::Kind::kAddNode) {
+      const std::string& label = op.value().label;
+      *out += StrFormat("add-node -> provisional id %u%s%s\n", id,
+                        label.empty() ? "" : " label=", label.c_str());
     }
   }
   // A trailing unapplied batch applies implicitly.
@@ -904,88 +857,21 @@ Status CmdStats(const CommandLine& cmd, std::string* out) {
 // with one session per index in [0, --sessions). Lines for different
 // sessions execute concurrently on the thread pool; lines for the same
 // session execute in script order. Transcripts print in session order,
-// so output is reproducible regardless of interleaving.
+// so output is reproducible regardless of interleaving. Ops run through
+// the line protocol's dispatcher (net/session_ops.h) and print its
+// reply text; only `help` and `quit` are serve's own.
 
 /// One parsed script line.
 struct ServeOp {
   size_t line = 0;       // 1-based script line (for error messages)
-  std::string op;
-  std::string arg;
+  std::string op;        // the op keyword as written
+  std::string text;      // "<op> [arg]", parsed by net::ParseRequest
 };
 
-/// Runs one op against a session, appending a transcript line.
-/// `executor` serves the `query` op (shared across sessions; its whole
-/// surface is const and thread-safe).
-Status ExecuteServeOp(const ServeOp& op, gtree::NavigationSession& nav,
-                      const query::Executor* executor, std::string* out) {
-  const gtree::GTree& tree = nav.store()->tree();
-  auto focus_name = [&] { return tree.node(nav.focus()).name; };
-  if (op.op == "root") {
-    GMINE_RETURN_IF_ERROR(nav.FocusRoot());
-  } else if (op.op == "focus") {
-    gtree::TreeNodeId id = tree.FindByName(op.arg);
-    if (id == gtree::kInvalidTreeNode) {
-      return Status::NotFound(
-          StrFormat("community '%s' not found", op.arg.c_str()));
-    }
-    GMINE_RETURN_IF_ERROR(nav.FocusNode(id));
-  } else if (op.op == "child") {
-    uint64_t index = 0;
-    if (!ParseUint64(op.arg, &index)) {
-      return Status::InvalidArgument("child expects an index");
-    }
-    GMINE_RETURN_IF_ERROR(nav.FocusChild(index));
-  } else if (op.op == "parent") {
-    GMINE_RETURN_IF_ERROR(nav.FocusParent());
-  } else if (op.op == "back") {
-    GMINE_RETURN_IF_ERROR(nav.Back());
-  } else if (op.op == "locate") {
-    auto v = nav.LocateByLabel(op.arg);
-    if (!v.ok()) return v.status();
-    *out += StrFormat("%s -> node %u focus=%s display=%zu\n",
-                      op.op.c_str(), v.value(), focus_name().c_str(),
-                      nav.context().DisplaySize());
-    return Status::OK();
-  } else if (op.op == "load") {
-    auto payload = nav.LoadFocusSubgraph();
-    if (!payload.ok()) return payload.status();
-    *out += StrFormat("load -> %s: n=%u e=%llu\n", focus_name().c_str(),
-                      payload.value()->subgraph.graph.num_nodes(),
-                      static_cast<unsigned long long>(
-                          payload.value()->subgraph.graph.num_edges()));
-    return Status::OK();
-  } else if (op.op == "connectivity") {
-    *out += StrFormat("connectivity -> %zu context edges\n",
-                      nav.ContextConnectivity().size());
-    return Status::OK();
-  } else if (op.op == "query") {
-    if (op.arg.empty()) {
-      return Status::InvalidArgument("query expects a GQL statement");
-    }
-    auto result = executor->ExecuteText(op.arg);
-    if (!result.ok()) return result.status();
-    const query::QueryStats& s = result.value().stats;
-    *out += StrFormat(
-        "query -> rows=%llu pages_scanned=%llu/%llu pruned=%llu\n",
-        static_cast<unsigned long long>(s.rows_output),
-        static_cast<unsigned long long>(s.pages_scanned),
-        static_cast<unsigned long long>(s.pages_total),
-        static_cast<unsigned long long>(s.pages_pruned));
-    return Status::OK();
-  } else if (op.op == "help") {
-    *out += "help -> ops: root focus child parent back locate load "
-            "connectivity query help quit\n";
-    return Status::OK();
-  } else {
-    return Status::InvalidArgument(
-        StrFormat("unknown serve op '%s' (ops: root focus child parent "
-                  "back locate load connectivity query help quit)",
-                  op.op.c_str()));
-  }
-  *out += StrFormat("%s -> focus=%s display=%zu\n", op.op.c_str(),
-                    focus_name().c_str(), nav.context().DisplaySize());
-  return Status::OK();
-}
+/// `gmine serve`'s own help: the session ops plus `quit`.
+constexpr char kServeHelp[] =
+    "ops: root focus child parent back locate load summary connectivity "
+    "render query ping close help quit";
 
 /// Splits a script into per-session op queues. Lines: blank and
 /// #-comments skipped; otherwise `<session> <op> [arg]`.
@@ -1021,13 +907,8 @@ Status ParseServeScript(const std::string& body, size_t num_sessions,
     std::string_view rest = TrimWhitespace(line.substr(sp + 1));
     ServeOp op;
     op.line = line_no;
-    size_t op_end = rest.find(' ');
-    if (op_end == std::string_view::npos) {
-      op.op.assign(rest);
-    } else {
-      op.op.assign(rest.substr(0, op_end));
-      op.arg.assign(TrimWhitespace(rest.substr(op_end + 1)));
-    }
+    op.op.assign(rest.substr(0, rest.find(' ')));
+    op.text.assign(rest);
     (*queues)[session].push_back(std::move(op));
   }
   return Status::OK();
@@ -1077,7 +958,8 @@ Status CmdServe(const CommandLine& cmd, std::string* out) {
   GMINE_RETURN_IF_ERROR(ParseServeScript(script, ids.size(), &queues));
 
   // Shared GQL executor for `query` ops (const, thread-safe; loads its
-  // own full-graph copy lazily if a script EXTRACTs).
+  // own full-graph copy lazily if a script EXTRACTs). The store is
+  // read-only here, so one executor serves every session.
   query::Executor executor(store.value().get());
 
   // Multiplex: each session's queue runs in script order; different
@@ -1094,17 +976,29 @@ Status CmdServe(const CommandLine& cmd, std::string* out) {
         transcripts[i] += StrFormat("[s%zu] quit -> done\n", i);
         break;
       }
-      std::string result;
-      Status st = pool.WithSession(ids[i], [&](gtree::NavigationSession& nav) {
-        return ExecuteServeOp(op, nav, &executor, &result);
-      });
-      if (st.ok()) {
-        transcripts[i] += StrFormat("[s%zu] %s", i, result.c_str());
+      net::Response response;
+      auto request = net::ParseRequest(op.text);
+      if (!request.ok()) {
+        response.status = request.status();
+      } else if (request.value().op == net::RequestOp::kHelp) {
+        response.text = kServeHelp;
       } else {
-        transcripts[i] +=
-            StrFormat("[s%zu] %s (script line %zu) -> error: %s\n", i,
-                      op.op.c_str(), op.line, st.ToString().c_str());
+        response.status = pool.WithSession(
+            ids[i], [&](gtree::NavigationSession& nav) {
+              return net::ExecuteSessionOp(request.value(), nav, executor,
+                                           &response);
+            });
       }
+      if (!response.status.ok()) {
+        transcripts[i] += StrFormat(
+            "[s%zu] %s (script line %zu) -> error: %s\n", i, op.op.c_str(),
+            op.line, response.status.ToString().c_str());
+        continue;
+      }
+      transcripts[i] += StrFormat("[s%zu] %s -> %s\n", i, op.op.c_str(),
+                                  response.text.c_str());
+      // `close` ends this session's queue, like `quit`.
+      if (request.value().op == net::RequestOp::kClose) break;
     }
   });
   const int64_t elapsed = watch.ElapsedMicros();
@@ -1337,6 +1231,12 @@ Status CmdServer(const CommandLine& cmd, std::string* out) {
 
   const net::ServerStats nstats = server.stats();
   const core::SessionPoolStats pstats = pool->stats();
+  // Count only the sessions opened for connections: an engine-backed
+  // pool also holds the engine's own pinned default session.
+  size_t pinned = 0;
+  for (const core::SessionInfo& info : pool->ListSessions()) {
+    if (info.pinned) ++pinned;
+  }
   const gtree::GTreeStoreStats sstats = store->stats();
   *out += StrFormat(
       "server: accepted=%llu rejected=%llu closed=%llu requests=%llu "
@@ -1348,9 +1248,10 @@ Status CmdServer(const CommandLine& cmd, std::string* out) {
       static_cast<unsigned long long>(nstats.errors));
   *out += StrFormat(
       "pool: opened=%llu closed=%llu idle_closed=%llu leaked=%zu\n",
-      static_cast<unsigned long long>(pstats.opened),
+      static_cast<unsigned long long>(pstats.opened - pinned),
       static_cast<unsigned long long>(pstats.closed),
-      static_cast<unsigned long long>(pstats.idle_closed), pool->size());
+      static_cast<unsigned long long>(pstats.idle_closed),
+      pool->size() - pinned);
   const storage::BufferPoolStats bstats = store->buffer_pool().stats();
   *out += StrFormat(
       "store: leaf loads=%llu cache hits=%llu shared hits=%llu "
@@ -1761,7 +1662,10 @@ std::string UsageText() {
       "  serve    STORE [--sessions N] [--script FILE] [--threads T]\n"
       "           [--mem-budget-mb M (default 64, 0=unbounded)]\n"
       "           multiplexes '<session> <op> [arg]' script lines (or\n"
-      "           stdin) across N concurrent sessions\n"
+      "           stdin) across N concurrent sessions; ops are the\n"
+      "           server's session ops (root focus child parent back\n"
+      "           locate load summary connectivity render query ping\n"
+      "           close) plus help and quit\n"
       "  server   STORE [--port P (0=ephemeral) --max-clients N\n"
       "           --threads T --mem-budget-mb M --idle-timeout-ms MS\n"
       "           --prefetch on --port-file FILE]  TCP session-pool\n"
@@ -1775,9 +1679,9 @@ std::string UsageText() {
       "           --token-file FILE --port-file FILE]  HTTP/1.1 +\n"
       "           WebSocket front end over a multi-store catalog\n"
       "           (docs/HTTP.md): REST list/info/query/summary/\n"
-      "           render.svg under /api/v1 (legacy /api paths answer\n"
-      "           301), `/api/v1/stores/NAME/ws` upgrades pin a\n"
-      "           session, POST /api/v1/stores/NAME/mine runs a mining\n"
+      "           render.svg under /api/v1, `/api/v1/stores/NAME/ws`\n"
+      "           upgrades pin a session running the server's session\n"
+      "           ops, POST /api/v1/stores/NAME/mine runs a mining\n"
       "           job (poll/cancel via /api/v1/jobs/ID), `/stats`\n"
       "           counters; stops on POST /api/v1/shutdown; a manifest\n"
       "           holds `NAME PATH [QUOTA]` lines\n"

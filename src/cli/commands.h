@@ -21,7 +21,8 @@
 //   serve     STORE [--sessions N] [--script FILE] [--threads T]
 //             [--mem-budget-mb M]  concurrent session-pool driver: runs
 //             '<session> <op> [arg]' script lines (or stdin) across N
-//             sessions over one store, on the thread pool
+//             sessions over one store, on the thread pool, through the
+//             server's session-op dispatcher (net/session_ops.h)
 //   server    STORE [--port P --max-clients N --threads T
 //             --mem-budget-mb M --idle-timeout-ms MS --prefetch on
 //             --port-file FILE]  TCP front end mapping remote clients

@@ -32,7 +32,7 @@ RwrResult PowerIterate(const TransitionMatrix& trans,
   std::vector<double> r = restart;
   std::vector<double> next(n, 0.0);
   const double c = options.restart;
-  const int threads = options.context.ResolveThreads(options.threads);
+  const int threads = options.context.threads;
   for (int it = 0; it < options.max_iterations; ++it) {
     if (options.context.IsCancelled()) break;  // returns current state
     double dangling = 0.0;

@@ -35,9 +35,6 @@ struct RwrOptions {
   /// at every setting (deterministic chunked reduction). Ignored by the
   /// exact dense solve.
   mining::KernelContext context;
-  /// Deprecated: set context.threads instead. Honored only when
-  /// context.threads == 0 (kernels resolve via context.ResolveThreads).
-  int threads = 0;
 };
 
 /// One RWR solve.

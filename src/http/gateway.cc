@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/views.h"
+#include "net/session_ops.h"
 #include "query/executor.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -14,9 +15,8 @@ namespace gmine::http {
 namespace {
 
 const char* const kEndpointNames[] = {
-    "stores",   "store",    "query",      "summary", "render-svg",
-    "mine",     "jobs",     "redirect",   "stats",   "ws-upgrade",
-    "ws-op",    "other",
+    "stores", "store", "query",      "summary", "render-svg", "mine",
+    "jobs",   "stats", "ws-upgrade", "ws-op",   "other",
 };
 
 int HttpStatusFor(const Status& status) {
@@ -238,26 +238,6 @@ void Gateway::Route(const std::shared_ptr<GwConn>& conn,
 
   if (path.rfind("/api/", 0) != 0) {
     FillError(Status::NotFound("no such endpoint"), response);
-    return;
-  }
-
-  // Legacy unversioned paths: answer 301 with the /api/v1 Location so
-  // old clients discover the move (before auth — the redirect reveals
-  // nothing and needs no token). Bodies are not replayed, so clients
-  // must re-issue POSTs themselves.
-  if (path.rfind("/api/v1/", 0) != 0) {
-    *endpoint = kEpRedirect;
-    // Preserve the query string by rewriting the raw target when it
-    // carries the same prefix (it does unless oddly percent-encoded).
-    const std::string& base =
-        request.target.rfind("/api/", 0) == 0 ? request.target : path;
-    std::string location = "/api/v1" + base.substr(strlen("/api"));
-    response->status = 301;
-    response->content_type = "application/json";
-    response->extra_headers.emplace_back("Location", location);
-    response->body = StrFormat(
-        "{\"error\":\"moved permanently\",\"location\":\"%s\"}\n",
-        net::JsonEscape(location).c_str());
     return;
   }
 
@@ -629,165 +609,48 @@ std::string Gateway::ExecuteWsOp(const std::shared_ptr<GwConn>& conn,
                                  const std::string& line,
                                  bool* close_conn) {
   net::Response response;
-  auto encode = [&] {
-    // The line protocol's JSON framing, newline stripped (the frame is
-    // the delimiter on this transport).
-    std::string encoded = net::EncodeResponse(response, /*json=*/true);
-    while (!encoded.empty() && encoded.back() == '\n') encoded.pop_back();
-    return encoded;
-  };
   auto parsed = net::ParseRequest(line);
   if (!parsed.ok()) {
     response.status = parsed.status();
-    return encode();
-  }
-  const net::Request& request = parsed.value();
-  const gtree::GTree& tree = conn->lease.store()->tree();
-
-  switch (request.op) {
-    case net::RequestOp::kHelp:
-      response.text = net::ProtocolHelpText();
-      return encode();
-    case net::RequestOp::kPing:
-      response.text = "pong";
-      return encode();
-    case net::RequestOp::kClose:
-      response.text = "bye";
-      *close_conn = true;
-      return encode();
-    case net::RequestOp::kShutdown:
-    case net::RequestOp::kEdit:
-      response.status = Status::NotSupported(
-          "not available over the gateway websocket");
-      return encode();
-    case net::RequestOp::kStats:
-      response.text = StrFormat(
-          "store=%s session=%llu",
-          conn->lease.store_name().c_str(),
-          static_cast<unsigned long long>(conn->lease.id()));
-      return encode();
-    case net::RequestOp::kQuery: {
-      if (request.arg.empty()) {
-        response.status =
-            Status::InvalidArgument("query expects a GQL statement");
-        return encode();
-      }
-      query::Executor executor(conn->lease.store());
-      auto result = executor.ExecuteText(request.arg);
-      if (!result.ok()) {
-        response.status = result.status();
-        return encode();
-      }
-      const query::QueryStats& qs = result.value().stats;
-      response.text = StrFormat(
-          "rows=%llu pages_scanned=%llu/%llu pruned=%llu",
-          (unsigned long long)qs.rows_output,
-          (unsigned long long)qs.pages_scanned,
-          (unsigned long long)qs.pages_total,
-          (unsigned long long)qs.pages_pruned);
-      response.body = query::ResultToJson(result.value());
-      response.has_body = true;
-      return encode();
-    }
-    default:
-      break;
-  }
-
-  // Navigation ops against the pinned catalog session — the same
-  // semantics as the line-protocol server (net/server.cc).
-  response.status = conn->lease.With([&](gtree::NavigationSession& nav)
-                                         -> Status {
-    auto focus_name = [&] { return tree.node(nav.focus()).name; };
-    auto nav_text = [&] {
-      return StrFormat("focus=%s display=%zu", focus_name().c_str(),
-                       nav.context().DisplaySize());
-    };
+  } else {
+    const net::Request& request = parsed.value();
     switch (request.op) {
-      case net::RequestOp::kOpen:
+      case net::RequestOp::kShutdown:
+      case net::RequestOp::kEdit:
+        response.status = Status::NotSupported(
+            "not available over the gateway websocket");
+        break;
+      case net::RequestOp::kStats:
         response.text = StrFormat(
-            "session %llu store=%s %s",
-            static_cast<unsigned long long>(conn->lease.id()),
-            conn->lease.store_name().c_str(), nav_text().c_str());
-        return Status::OK();
-      case net::RequestOp::kRoot:
-        GMINE_RETURN_IF_ERROR(nav.FocusRoot());
+            "store=%s session=%llu", conn->lease.store_name().c_str(),
+            static_cast<unsigned long long>(conn->lease.id()));
         break;
-      case net::RequestOp::kFocus: {
-        const gtree::TreeNodeId id = tree.FindByName(request.arg);
-        if (id == gtree::kInvalidTreeNode) {
-          return Status::NotFound(StrFormat("community '%s' not found",
-                                            request.arg.c_str()));
-        }
-        GMINE_RETURN_IF_ERROR(nav.FocusNode(id));
-        break;
-      }
-      case net::RequestOp::kChild: {
-        uint64_t index = 0;
-        if (!ParseUint64(request.arg, &index)) {
-          return Status::InvalidArgument("child expects an index");
-        }
-        GMINE_RETURN_IF_ERROR(nav.FocusChild(index));
-        break;
-      }
-      case net::RequestOp::kParent:
-        GMINE_RETURN_IF_ERROR(nav.FocusParent());
-        break;
-      case net::RequestOp::kBack:
-        GMINE_RETURN_IF_ERROR(nav.Back());
-        break;
-      case net::RequestOp::kLocate: {
-        auto v = nav.LocateByLabel(request.arg);
-        if (!v.ok()) return v.status();
-        response.text =
-            StrFormat("node %u %s", v.value(), nav_text().c_str());
-        return Status::OK();
-      }
-      case net::RequestOp::kLoad: {
-        auto payload = nav.LoadFocusSubgraph();
-        if (!payload.ok()) return payload.status();
-        response.text = StrFormat(
-            "leaf=%s n=%u e=%llu", focus_name().c_str(),
-            payload.value()->subgraph.graph.num_nodes(),
-            static_cast<unsigned long long>(
-                payload.value()->subgraph.graph.num_edges()));
-        return Status::OK();
-      }
-      case net::RequestOp::kSummary: {
-        std::vector<std::string> path;
-        for (gtree::TreeNodeId id : tree.PathFromRoot(nav.focus())) {
-          path.push_back(tree.node(id).name);
-        }
-        response.text = StrFormat(
-            "focus=%s depth=%u children=%zu display=%zu path=%s",
-            focus_name().c_str(), tree.node(nav.focus()).depth,
-            tree.node(nav.focus()).children.size(),
-            nav.context().DisplaySize(), JoinStrings(path, "/").c_str());
-        return Status::OK();
-      }
-      case net::RequestOp::kConnectivity:
-        response.text =
-            StrFormat("edges=%zu", nav.ContextConnectivity().size());
-        return Status::OK();
-      case net::RequestOp::kRender: {
-        if (request.arg != "svg") {
-          return Status::InvalidArgument(
-              "render supports exactly one format: 'render svg'");
-        }
-        auto svg = core::HierarchyViewSvgString(
-            tree, nav.context(), nav.store()->connectivity());
-        if (!svg.ok()) return svg.status();
-        response.body = std::move(svg).value();
-        response.has_body = true;
-        response.text = StrFormat("svg %s", focus_name().c_str());
-        return Status::OK();
-      }
       default:
-        return Status::Internal("unhandled op");
+        // Session ops against the pinned catalog session — the one
+        // dispatcher the line-protocol server runs too.
+        *close_conn = request.op == net::RequestOp::kClose;
+        response.status = conn->lease.With(
+            [&](gtree::NavigationSession& nav) -> Status {
+              if (request.op == net::RequestOp::kOpen) {
+                response.text = StrFormat(
+                    "session %llu store=%s %s",
+                    static_cast<unsigned long long>(conn->lease.id()),
+                    conn->lease.store_name().c_str(),
+                    net::FocusText(nav).c_str());
+                return Status::OK();
+              }
+              const query::Executor queries(nav.store());
+              return net::ExecuteSessionOp(request, nav, queries,
+                                           &response);
+            });
+        break;
     }
-    response.text = nav_text();
-    return Status::OK();
-  });
-  return encode();
+  }
+  // The line protocol's JSON framing, newline stripped (the frame is
+  // the delimiter on this transport).
+  std::string encoded = net::EncodeResponse(response, /*json=*/true);
+  while (!encoded.empty() && encoded.back() == '\n') encoded.pop_back();
+  return encoded;
 }
 
 void Gateway::OnClosed(ConnId id) {

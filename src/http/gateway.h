@@ -6,9 +6,8 @@
 // carries the server line protocol's navigation ops plus `query`,
 // responses JSON-framed.
 //
-// The REST surface is versioned under /api/v1/; a request to any
-// legacy /api/... path answers 301 with the /api/v1/... Location
-// (no auth required to learn the new path).
+// The REST surface is versioned under /api/v1/; an unversioned path
+// is an unknown path (404, or 401 first when a token is set).
 //
 //   GET  /stats                             counters (no auth)
 //   GET  /api/v1/stores                     catalog listing
@@ -129,7 +128,6 @@ class Gateway {
     kEpRenderSvg,
     kEpMine,
     kEpJobs,
-    kEpRedirect,
     kEpStats,
     kEpUpgrade,
     kEpWsOp,

@@ -91,8 +91,7 @@ BetweennessResult ComputeBetweenness(const Graph& g,
   // r, r + W, r + 2W, ...), each rank accumulating into its own score
   // buffer; buffers are merged in rank order, so a fixed thread count
   // gives a deterministic result.
-  const int resolved =
-      ResolveThreads(options.context.ResolveThreads(options.threads));
+  const int resolved = ResolveThreads(options.context.threads);
   const int ranks = static_cast<int>(std::min<size_t>(
       static_cast<size_t>(resolved), sources.size()));
   std::vector<BrandesWorkspace> ws;

@@ -32,9 +32,6 @@ struct BetweennessOptions {
   /// gives a deterministic result; different counts agree to float
   /// rounding (summation order differs).
   KernelContext context;
-  /// Deprecated: set context.threads instead. Honored only when
-  /// context.threads == 0 (kernels resolve via context.ResolveThreads).
-  int threads = 0;
 };
 
 /// Betweenness output.

@@ -1,9 +1,6 @@
 // KernelContext — the one execution-environment knob block shared by
-// every mining kernel (docs/OUTOFCORE.md). Before it, each kernel's
-// Options struct grew its own `threads` field (and would have grown its
-// own budget/cancel fields next); now the per-kernel Options embed a
-// KernelContext and keep their legacy fields only as deprecated compat
-// shims resolved through ResolveThreads().
+// every mining kernel (docs/OUTOFCORE.md). Each kernel's Options struct
+// embeds one instead of growing its own threads/budget/cancel fields.
 //
 // The context also carries what long-running, page-at-a-time kernels
 // (mining/pagescan_kernels.h) need: a cooperative cancellation hook
@@ -38,8 +35,6 @@ struct KernelProgress {
 /// kernel accepts that.
 struct KernelContext {
   /// Worker threads (util/parallel.h semantics): 0 = auto, 1 = serial.
-  /// Supersedes the deprecated per-Options `threads` fields; see
-  /// ResolveThreads().
   int threads = 0;
 
   /// Soft memory budget for the kernel's working set, in bytes. 0 = no
@@ -64,13 +59,6 @@ struct KernelContext {
   /// Reports progress when a hook is set.
   void Report(const KernelProgress& p) const {
     if (progress) progress(p);
-  }
-
-  /// Compat shim for the deprecated per-Options `threads` fields: an
-  /// explicit context thread count wins; otherwise the legacy field
-  /// (which old callers may still set) is honored.
-  int ResolveThreads(int legacy_threads) const {
-    return threads != 0 ? threads : legacy_threads;
   }
 };
 

@@ -37,7 +37,7 @@ PageRankResult ComputePageRank(const Graph& g,
   std::vector<double> rank(n, 1.0 / n);
   std::vector<double> next(n, 0.0);
 
-  const int threads = options.context.ResolveThreads(options.threads);
+  const int threads = options.context.threads;
   for (int it = 0; it < options.max_iterations; ++it) {
     if (options.context.IsCancelled()) break;  // returns current state
     double dangling = 0.0;

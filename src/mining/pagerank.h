@@ -29,9 +29,6 @@ struct PageRankOptions {
   /// reduction). Cancellation is polled between iterations and stops
   /// early with the current (unconverged) scores.
   KernelContext context;
-  /// Deprecated: set context.threads instead. Honored only when
-  /// context.threads == 0 (kernels resolve via context.ResolveThreads).
-  int threads = 0;
 };
 
 /// PageRank output.

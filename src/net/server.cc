@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
-#include "core/views.h"
 #include "gtree/navigation.h"
+#include "net/session_ops.h"
 #include "storage/buffer_pool.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -30,8 +30,7 @@ Server::Server(core::SessionManager* pool, ServerOptions options,
                core::Prefetcher* prefetcher)
     : pool_(pool),
       prefetcher_(prefetcher),
-      options_(options),
-      executor_(std::make_unique<query::Executor>(&pool->store())) {
+      options_(options) {
   if (options_.max_clients < 1) options_.max_clients = 1;
   if (options_.worker_threads <= 0) {
     options_.worker_threads = options_.max_clients;
@@ -295,8 +294,8 @@ void Server::ServeConnection(const std::shared_ptr<Conn>& conn) {
       const int64_t micros = watch.ElapsedMicros();
       conn->requests.fetch_add(1);
       conn->last_active.store(SteadyMicros());
-      // Keepalive: connection-level ops (ping, stats, help, ...) run
-      // outside WithSession and would otherwise let an actively
+      // Keepalive: connection-level ops (stats, edit) run outside
+      // WithSession and would otherwise let an actively
       // probing client's session go "idle" and be reaped under it. A
       // false return means the pool no longer knows the session (e.g.
       // reaped in the window before this connection registered for the
@@ -337,18 +336,7 @@ void Server::ServeConnection(const std::shared_ptr<Conn>& conn) {
 Response Server::Execute(const Request& request, Conn& conn,
                          bool* close_conn, bool* request_shutdown) {
   Response response;
-  const gtree::GTree& tree = pool_->store().tree();
   switch (request.op) {
-    case RequestOp::kHelp:
-      response.text = ProtocolHelpText();
-      return response;
-    case RequestOp::kPing:
-      response.text = "pong";
-      return response;
-    case RequestOp::kClose:
-      response.text = "bye";
-      *close_conn = true;
-      return response;
     case RequestOp::kShutdown:
       response.text = "shutting down";
       *close_conn = true;
@@ -360,151 +348,59 @@ Response Server::Execute(const Request& request, Conn& conn,
     case RequestOp::kEdit:
       // Mutations run outside WithSession: the commit path (EditQueue
       // or the host's serialized ApplyEdit) takes the writer side of
-      // the epoch gate itself, and a failed parse must not poison the
-      // connection's navigation session.
+      // the epoch gate itself.
       return ExecuteEdit(request, conn);
-    case RequestOp::kQuery: {
-      // Queries read the store directly — no navigation state, so they
-      // run outside WithSession and never poison the session on error.
-      if (request.arg.empty()) {
-        response.status =
-            Status::InvalidArgument("query expects a GQL statement");
-        return response;
-      }
-      auto result = executor_->ExecuteText(request.arg);
-      if (!result.ok()) {
-        response.status = result.status();
-        return response;
-      }
-      const query::QueryStats& qs = result.value().stats;
-      query_count_.fetch_add(1, std::memory_order_relaxed);
-      query_rows_.fetch_add(qs.rows_output, std::memory_order_relaxed);
-      query_pages_scanned_.fetch_add(qs.pages_scanned,
-                                     std::memory_order_relaxed);
-      query_pages_pruned_.fetch_add(qs.pages_pruned,
-                                    std::memory_order_relaxed);
-      response.text = StrFormat(
-          "rows=%llu pages_scanned=%llu/%llu pruned=%llu",
-          (unsigned long long)qs.rows_output,
-          (unsigned long long)qs.pages_scanned,
-          (unsigned long long)qs.pages_total,
-          (unsigned long long)qs.pages_pruned);
-      response.body = query::ResultToJson(result.value());
-      response.has_body = true;
-      return response;
-    }
     default:
       break;
   }
 
-  // Everything else runs against the connection's session.
+  // Everything else runs against the connection's session, where the
+  // epoch gate keeps the store still for the whole op.
+  *close_conn = request.op == RequestOp::kClose;
+  gtree::TreeNodeId focus_before = gtree::kInvalidTreeNode;
   gtree::TreeNodeId focus_after = gtree::kInvalidTreeNode;
-  bool focus_changed = false;
+  query::QueryStats qs;
   response.status = pool_->WithSession(
       conn.session, [&](gtree::NavigationSession& nav) -> Status {
-        auto focus_name = [&] { return tree.node(nav.focus()).name; };
-        auto nav_text = [&] {
-          return StrFormat("focus=%s display=%zu", focus_name().c_str(),
-                           nav.context().DisplaySize());
-        };
-        switch (request.op) {
-          case RequestOp::kOpen:
-            response.text = StrFormat(
-                "session %llu %s",
-                static_cast<unsigned long long>(conn.session),
-                nav_text().c_str());
-            return Status::OK();
-          case RequestOp::kRoot:
-            GMINE_RETURN_IF_ERROR(nav.FocusRoot());
-            break;
-          case RequestOp::kFocus: {
-            gtree::TreeNodeId id = tree.FindByName(request.arg);
-            if (id == gtree::kInvalidTreeNode) {
-              return Status::NotFound(StrFormat(
-                  "community '%s' not found", request.arg.c_str()));
-            }
-            GMINE_RETURN_IF_ERROR(nav.FocusNode(id));
-            break;
-          }
-          case RequestOp::kChild: {
-            uint64_t index = 0;
-            if (!ParseUint64(request.arg, &index)) {
-              return Status::InvalidArgument("child expects an index");
-            }
-            GMINE_RETURN_IF_ERROR(nav.FocusChild(index));
-            break;
-          }
-          case RequestOp::kParent:
-            GMINE_RETURN_IF_ERROR(nav.FocusParent());
-            break;
-          case RequestOp::kBack:
-            GMINE_RETURN_IF_ERROR(nav.Back());
-            break;
-          case RequestOp::kLocate: {
-            auto v = nav.LocateByLabel(request.arg);
-            if (!v.ok()) return v.status();
-            response.text = StrFormat("node %u %s", v.value(),
-                                      nav_text().c_str());
-            focus_after = nav.focus();
-            focus_changed = true;
-            return Status::OK();
-          }
-          case RequestOp::kLoad: {
-            auto payload = nav.LoadFocusSubgraph();
-            if (!payload.ok()) return payload.status();
-            response.text = StrFormat(
-                "leaf=%s n=%u e=%llu", focus_name().c_str(),
-                payload.value()->subgraph.graph.num_nodes(),
-                static_cast<unsigned long long>(
-                    payload.value()->subgraph.graph.num_edges()));
-            return Status::OK();
-          }
-          case RequestOp::kSummary: {
-            std::vector<std::string> path;
-            for (gtree::TreeNodeId id : tree.PathFromRoot(nav.focus())) {
-              path.push_back(tree.node(id).name);
-            }
-            response.text = StrFormat(
-                "focus=%s depth=%u children=%zu display=%zu path=%s",
-                focus_name().c_str(), tree.node(nav.focus()).depth,
-                tree.node(nav.focus()).children.size(),
-                nav.context().DisplaySize(),
-                JoinStrings(path, "/").c_str());
-            return Status::OK();
-          }
-          case RequestOp::kConnectivity:
-            response.text = StrFormat("edges=%zu",
-                                      nav.ContextConnectivity().size());
-            return Status::OK();
-          case RequestOp::kRender: {
-            if (request.arg != "svg") {
-              return Status::InvalidArgument(
-                  "render supports exactly one format: 'render svg'");
-            }
-            auto svg = core::HierarchyViewSvgString(
-                tree, nav.context(), pool_->store().connectivity());
-            if (!svg.ok()) return svg.status();
-            response.body = std::move(svg).value();
-            response.has_body = true;
-            response.text = StrFormat("svg %s", focus_name().c_str());
-            return Status::OK();
-          }
-          default:
-            return Status::Internal("unhandled op");
+        if (request.op == RequestOp::kOpen) {
+          response.text = StrFormat(
+              "session %llu %s", static_cast<unsigned long long>(conn.session),
+              FocusText(nav).c_str());
+          return Status::OK();
         }
-        // Shared tail of the plain focus-moving ops.
-        response.text = nav_text();
+        focus_before = nav.focus();
+        Status st = ExecuteSessionOp(request, nav, *QueryExecutor(nav),
+                                     &response, &qs);
         focus_after = nav.focus();
-        focus_changed = true;
-        return Status::OK();
+        return st;
       });
-  if (response.status.ok() && focus_changed && options_.prefetch &&
+  if (!response.status.ok()) return response;
+  if (request.op == RequestOp::kQuery) {
+    query_count_.fetch_add(1, std::memory_order_relaxed);
+    query_rows_.fetch_add(qs.rows_output, std::memory_order_relaxed);
+    query_pages_scanned_.fetch_add(qs.pages_scanned,
+                                   std::memory_order_relaxed);
+    query_pages_pruned_.fetch_add(qs.pages_pruned,
+                                  std::memory_order_relaxed);
+  }
+  if (focus_after != focus_before && options_.prefetch &&
       prefetcher_ != nullptr) {
     // Best-effort hint: the pages one child/load step away.
     (void)prefetcher_->EnqueueChildren(focus_after,
                                        options_.prefetch_fanout);
   }
   return response;
+}
+
+std::shared_ptr<const query::Executor> Server::QueryExecutor(
+    const gtree::NavigationSession& nav) {
+  const uint64_t epoch = pool_->epoch();
+  std::lock_guard<std::mutex> lock(executor_mu_);
+  if (executor_ == nullptr || executor_epoch_ != epoch) {
+    executor_ = std::make_shared<const query::Executor>(nav.store());
+    executor_epoch_ = epoch;
+  }
+  return executor_;
 }
 
 Response Server::ExecuteEdit(const Request& request, Conn& conn) {
@@ -519,103 +415,14 @@ Response Server::ExecuteEdit(const Request& request, Conn& conn) {
         Status::Internal("writable server has no edit hook wired");
     return response;
   }
-  std::string_view arg = TrimWhitespace(request.arg);
-  size_t sp = arg.find(' ');
-  std::string sub(sp == std::string_view::npos ? arg : arg.substr(0, sp));
-  std::string_view rest = sp == std::string_view::npos
-                              ? std::string_view()
-                              : TrimWhitespace(arg.substr(sp + 1));
-  auto ensure_batch = [&] {
-    if (conn.pending_edit == nullptr) {
-      conn.pending_edit =
-          std::make_unique<graph::GraphEdit>(options_.tip_nodes());
-    }
-  };
-  auto parse_two = [&](uint64_t* u, uint64_t* v,
-                       std::string_view* tail) -> bool {
-    size_t s1 = rest.find(' ');
-    if (s1 == std::string_view::npos) return false;
-    std::string_view second = TrimWhitespace(rest.substr(s1 + 1));
-    size_t s2 = second.find(' ');
-    std::string_view vtok =
-        s2 == std::string_view::npos ? second : second.substr(0, s2);
-    *tail = s2 == std::string_view::npos
-                ? std::string_view()
-                : TrimWhitespace(second.substr(s2 + 1));
-    return ParseUint64(rest.substr(0, s1), u) && ParseUint64(vtok, v);
-  };
-  const size_t ops_before =
-      conn.pending_edit != nullptr ? conn.pending_edit->num_ops() : 0;
-  if (sub == "add-node") {
-    ensure_batch();
-    graph::NodeId id = conn.pending_edit->AddNode();
-    conn.pending_labels.emplace_back(rest);
-    response.text = StrFormat("queued add-node id=%u ops=%zu", id,
-                              conn.pending_edit->num_ops());
-    return response;
-  }
-  if (sub == "add-edge") {
-    uint64_t u = 0;
-    uint64_t v = 0;
-    std::string_view tail;
-    if (!parse_two(&u, &v, &tail)) {
-      response.status =
-          Status::InvalidArgument("expected 'edit add-edge U V [W]'");
-      return response;
-    }
-    double w = 1.0;
-    if (!tail.empty() && !ParseDouble(tail, &w)) {
-      response.status = Status::InvalidArgument("bad edge weight");
-      return response;
-    }
-    ensure_batch();
-    conn.pending_edit->AddEdge(static_cast<graph::NodeId>(u),
-                               static_cast<graph::NodeId>(v),
-                               static_cast<float>(w));
-    response.text =
-        StrFormat("queued add-edge %llu-%llu ops=%zu",
-                  static_cast<unsigned long long>(u),
-                  static_cast<unsigned long long>(v),
-                  conn.pending_edit->num_ops());
-    return response;
-  }
-  if (sub == "remove-edge") {
-    uint64_t u = 0;
-    uint64_t v = 0;
-    std::string_view tail;
-    if (!parse_two(&u, &v, &tail) || !tail.empty()) {
-      response.status =
-          Status::InvalidArgument("expected 'edit remove-edge U V'");
-      return response;
-    }
-    ensure_batch();
-    conn.pending_edit->RemoveEdge(static_cast<graph::NodeId>(u),
-                                  static_cast<graph::NodeId>(v));
-    response.text =
-        StrFormat("queued remove-edge %llu-%llu ops=%zu",
-                  static_cast<unsigned long long>(u),
-                  static_cast<unsigned long long>(v),
-                  conn.pending_edit->num_ops());
-    return response;
-  }
-  if (sub == "remove-node") {
-    uint64_t v = 0;
-    if (rest.empty() || !ParseUint64(rest, &v)) {
-      response.status =
-          Status::InvalidArgument("expected 'edit remove-node V'");
-      return response;
-    }
-    ensure_batch();
-    conn.pending_edit->RemoveNode(static_cast<graph::NodeId>(v));
-    response.text = StrFormat("queued remove-node %llu ops=%zu",
-                              static_cast<unsigned long long>(v),
-                              conn.pending_edit->num_ops());
-    return response;
-  }
+  const std::string_view sub =
+      std::string_view(request.arg).substr(0, request.arg.find(' '));
   if (sub == "abort") {
+    response.text = StrFormat(
+        "aborted ops=%zu",
+        conn.pending_edit != nullptr ? conn.pending_edit->num_ops() : 0);
     conn.pending_edit.reset();
     conn.pending_labels.clear();
-    response.text = StrFormat("aborted ops=%zu", ops_before);
     return response;
   }
   if (sub == "apply") {
@@ -646,9 +453,33 @@ Response Server::ExecuteEdit(const Request& request, Conn& conn) {
         ack.value().group_size);
     return response;
   }
-  response.status = Status::InvalidArgument(
-      "unknown edit sub-op (ops: add-node add-edge remove-edge "
-      "remove-node abort apply)");
+  // A malformed mutation fails without opening a batch.
+  auto op = ParseEditOp(request.arg);
+  if (!op.ok()) {
+    response.status = op.status();
+    return response;
+  }
+  if (conn.pending_edit == nullptr) {
+    conn.pending_edit =
+        std::make_unique<graph::GraphEdit>(options_.tip_nodes());
+  }
+  const graph::NodeId id =
+      QueueEditOp(op.value(), conn.pending_edit.get(), &conn.pending_labels);
+  std::string target;
+  switch (op.value().kind) {
+    case EditOp::Kind::kAddNode:
+      target = StrFormat("id=%u", id);
+      break;
+    case EditOp::Kind::kRemoveNode:
+      target = StrFormat("%u", id);
+      break;
+    default:
+      target = StrFormat("%u-%u", op.value().u, op.value().v);
+      break;
+  }
+  response.text = StrFormat("queued %.*s %s ops=%zu",
+                            static_cast<int>(sub.size()), sub.data(),
+                            target.c_str(), conn.pending_edit->num_ops());
   return response;
 }
 

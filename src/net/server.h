@@ -169,12 +169,18 @@ class Server {
   void WorkerLoop();
   void HousekeeperLoop();
   void ServeConnection(const std::shared_ptr<Conn>& conn);
-  /// Executes one parsed request against the connection's session.
-  /// `*request_shutdown` asks the caller to signal shutdown *after*
-  /// writing the response — signaling first would let Stop() cut the
-  /// socket before the SHUTDOWN op's own reply got out.
+  /// Executes one parsed request: the transport's own ops here, the
+  /// rest through the shared session-op dispatcher (net/session_ops.h)
+  /// under the connection's session. `*request_shutdown` asks the
+  /// caller to signal shutdown *after* writing the response — signaling
+  /// first would let Stop() cut the socket before the SHUTDOWN op's own
+  /// reply got out.
   Response Execute(const Request& request, Conn& conn, bool* close_conn,
                    bool* request_shutdown);
+  /// The GQL executor for the pool's current epoch; call inside
+  /// WithSession, where the epoch cannot move.
+  std::shared_ptr<const query::Executor> QueryExecutor(
+      const gtree::NavigationSession& nav);
   /// EDIT sub-op dispatch (queue mutations, apply/abort the batch).
   Response ExecuteEdit(const Request& request, Conn& conn);
   std::string StatsText(const Conn& conn) const;
@@ -184,9 +190,13 @@ class Server {
   core::Prefetcher* prefetcher_;
   ServerOptions options_;
 
-  /// Shared GQL executor over the pool's store (QUERY op). Const after
-  /// construction; Execute() is thread-safe, so workers share it.
-  std::unique_ptr<query::Executor> executor_;
+  /// Shared GQL executor (QUERY op), replaced when the pool's epoch
+  /// moves: one lazy full-graph materialization per published store
+  /// state, never a stale one. Each op holds its own reference, so a
+  /// replaced executor lives until its last query ends.
+  std::mutex executor_mu_;
+  std::shared_ptr<const query::Executor> executor_;
+  uint64_t executor_epoch_ = 0;
 
   // Cumulative EDIT-op counters (an "edits" section in STATS when
   // writable).

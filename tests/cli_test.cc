@@ -240,7 +240,8 @@ TEST(CliTest, ServeHelpAndQuitOps) {
                   .ok())
       << out;
   EXPECT_NE(out.find("[s0] help -> ops: root focus child parent back "
-                     "locate load connectivity query help quit"),
+                     "locate load summary connectivity render query ping "
+                     "close help quit"),
             std::string::npos)
       << out;
   EXPECT_NE(out.find("[s0] quit -> done"), std::string::npos);
@@ -382,6 +383,68 @@ TEST(CliTest, ServerConnectLoopbackEndToEnd) {
 
   for (const std::string& p : {prefix + ".edges", prefix + ".labels",
                                store, script, port_file}) {
+    std::remove(p.c_str());
+  }
+}
+
+TEST(CliTest, WritableServerCountsOnlyConnectionSessions) {
+  // An engine-backed (writable) server also holds the engine's pinned
+  // default session; the exit summary must count only the sessions it
+  // opened for connections, so leaked=0 after a clean shutdown.
+  std::string prefix = Tmp("cli_wleak");
+  std::string store = Tmp("cli_wleak.gtree");
+  std::string script = Tmp("cli_wleak.script");
+  std::string port_file = Tmp("cli_wleak.port");
+  std::string out;
+  ASSERT_TRUE(RunCli({"generate", "--out", prefix, "--levels", "2",
+                      "--fanout", "3", "--leaf-size", "20", "--seed", "7"},
+                     &out)
+                  .ok());
+  ASSERT_TRUE(RunCli({"build", "--graph", prefix + ".edges", "--labels",
+                      prefix + ".labels", "--out", store, "--levels", "2",
+                      "--fanout", "3"},
+                     &out)
+                  .ok());
+  std::remove(port_file.c_str());
+
+  std::string server_out;
+  Status server_status;
+  std::thread server_thread([&] {
+    server_status = RunCli({"server", store, "--port-file", port_file,
+                            "--writable", "on"},
+                           &server_out);
+  });
+  std::string port;
+  for (int i = 0; i < 200 && port.empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    auto text = graph::ReadFileToString(port_file);
+    if (text.ok()) port = std::string(TrimWhitespace(text.value()));
+  }
+  // One client connects and closes; a second one shuts the server down.
+  // (A server that failed to start has already returned — join is then
+  // safe regardless.)
+  if (!port.empty()) {
+    for (const char* lines : {"ping\nclose\n", "shutdown\n"}) {
+      EXPECT_TRUE(graph::WriteStringToFile(lines, script).ok());
+      out.clear();
+      EXPECT_TRUE(
+          RunCli({"connect", "127.0.0.1:" + port, "--script", script}, &out)
+              .ok())
+          << out;
+    }
+  }
+  server_thread.join();
+  ASSERT_FALSE(port.empty()) << server_out;
+  ASSERT_TRUE(server_status.ok()) << server_status.ToString();
+  EXPECT_NE(server_out.find("writable: on"), std::string::npos)
+      << server_out;
+  EXPECT_NE(server_out.find("pool: opened=2 closed=2 idle_closed=0 "
+                            "leaked=0"),
+            std::string::npos)
+      << server_out;
+
+  for (const std::string& p : {prefix + ".edges", prefix + ".labels",
+                               store, store + ".wal", script, port_file}) {
     std::remove(p.c_str());
   }
 }

@@ -365,42 +365,35 @@ TEST(HttpGatewayTest, HoldsManyIdleWebSocketsOnOneLoop) {
   EXPECT_EQ(f.catalog().stats().sessions_now, 0u);
 }
 
-TEST(HttpGatewayTest, LegacyApiPathsRedirectToV1) {
-  GatewayFixture f("redirect");
-  GatewayClient client = f.Connect();
-
-  HttpClientResponse r =
-      std::move(client.Request("GET", "/api/stores")).value();
-  EXPECT_EQ(r.status, 301);
-  EXPECT_EQ(r.Header("location"), "/api/v1/stores");
-
-  // Query strings survive the redirect verbatim.
-  r = std::move(client.Request(
-                    "GET", "/api/stores/s0/query?q=MATCH%20NODES%20LIMIT%201"))
-          .value();
-  EXPECT_EQ(r.status, 301);
-  EXPECT_EQ(r.Header("location"),
-            "/api/v1/stores/s0/query?q=MATCH%20NODES%20LIMIT%201");
-
-  // Following the Location lands on the live endpoint.
-  r = std::move(client.Request("GET", "/api/v1/stores")).value();
-  EXPECT_EQ(r.status, 200);
-  client.Close();
-}
-
-TEST(HttpGatewayTest, LegacyRedirectNeedsNoAuth) {
+TEST(HttpGatewayTest, UnversionedApiPathsAreUnknownPaths) {
+  // Without a token an unversioned path answers like any unknown path.
+  {
+    GatewayFixture f("unversioned");
+    GatewayClient client = f.Connect();
+    for (const char* target :
+         {"/api/stores", "/api/stores/s0/query?q=MATCH%20NODES%20LIMIT%201",
+          "/nope"}) {
+      HttpClientResponse r =
+          std::move(client.Request("GET", target)).value();
+      EXPECT_EQ(r.status, 404) << target;
+      EXPECT_EQ(r.Header("location"), "") << target;
+    }
+    EXPECT_EQ(std::move(client.Request("GET", "/api/v1/stores"))
+                  .value()
+                  .status,
+              200);
+    client.Close();
+  }
+  // With a token, every /api path is gated first: 401 before 404.
   GatewayOptions gopts;
   gopts.bearer_token = "sekrit";
-  GatewayFixture f("redirect_auth", gopts);
+  GatewayFixture f("unversioned_auth", gopts);
   GatewayClient client = f.Connect();
-  // A stale client learns the new path without the secret...
-  HttpClientResponse r =
-      std::move(client.Request("GET", "/api/stores")).value();
-  EXPECT_EQ(r.status, 301);
-  EXPECT_EQ(r.Header("location"), "/api/v1/stores");
-  // ...but the live endpoint is still gated.
-  r = std::move(client.Request("GET", "/api/v1/stores")).value();
-  EXPECT_EQ(r.status, 401);
+  EXPECT_EQ(std::move(client.Request("GET", "/api/stores")).value().status,
+            401);
+  EXPECT_EQ(
+      std::move(client.Request("GET", "/api/stores", "sekrit")).value().status,
+      404);
   client.Close();
 }
 

@@ -136,7 +136,7 @@ TEST(NavigationTest, LoadFocusSubgraphOnLeaf) {
 }
 
 TEST(NavigationTest, LoadFocusSubgraphRejectsInterior) {
-  NavFixture f = MakeNavFixture("interior");
+  NavFixture f = MakeNavFixture("nav_interior");
   NavigationSession nav(f.store.get());
   auto payload = nav.LoadFocusSubgraph();  // focus = root
   EXPECT_FALSE(payload.ok());

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/edit_queue.h"
 #include "core/engine.h"
 #include "core/prefetcher.h"
 #include "core/session_manager.h"
@@ -23,6 +24,7 @@
 #include "graph/graph_io.h"
 #include "gtree/builder.h"
 #include "net/client.h"
+#include "query/executor.h"
 #include "util/string_util.h"
 
 namespace gmine::net {
@@ -400,8 +402,8 @@ TEST(NetServerTest, ConnectionLevelOpsKeepTheSessionAlive) {
 
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  // ping/stats bypass WithSession; the keepalive touch must still keep
-  // an actively probing client's session out of the idle reaper.
+  // stats bypasses WithSession; the keepalive touch must still keep an
+  // actively probing client's session out of the idle reaper.
   for (int i = 0; i < 8; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     auto r = client.Roundtrip(i % 2 == 0 ? "ping" : "stats");
@@ -531,10 +533,129 @@ TEST(NetServerTest, ReadOnlyServerRejectsEditOps) {
   server.Stop();
 }
 
+/// Edit hooks of an engine-backed writable server, mirroring `gmine
+/// server --writable on`: with a WAL the batches flow through the
+/// group-commit queue (`*queue` is created), without one a mutex
+/// serializes ApplyEdit and acks carry lsn=0.
+ServerOptions WritableOptions(core::GMineEngine* eng, uint32_t num_nodes,
+                              std::unique_ptr<core::EditQueue>* queue) {
+  ServerOptions sopts;
+  sopts.writable = true;
+  if (eng->wal() != nullptr) {
+    *queue = std::make_unique<core::EditQueue>(eng);
+    core::EditQueue* q = queue->get();
+    sopts.tip_nodes = [q] { return q->tip_nodes(); };
+    sopts.apply_edit = [q](graph::GraphEdit edit,
+                           std::vector<std::string> labels)
+        -> gmine::Result<EditAck> {
+      auto fut = q->Submit(std::move(edit), std::move(labels));
+      if (!fut.ok()) return fut.status();
+      core::EditCommit commit = fut.value().get();
+      if (!commit.status.ok()) return commit.status;
+      EditAck ack;
+      ack.lsn = commit.lsn;
+      ack.epoch = commit.epoch;
+      ack.group_size = commit.group_size;
+      return ack;
+    };
+    return sopts;
+  }
+  auto edit_mu = std::make_shared<std::mutex>();
+  auto tip = std::make_shared<std::atomic<uint32_t>>(num_nodes);
+  sopts.tip_nodes = [tip] { return tip->load(); };
+  sopts.apply_edit = [eng, edit_mu, tip](graph::GraphEdit edit,
+                                         std::vector<std::string> labels)
+      -> gmine::Result<EditAck> {
+    std::lock_guard<std::mutex> lock(*edit_mu);
+    core::EditStats stats;
+    GMINE_RETURN_IF_ERROR(eng->ApplyEdit(edit, labels, &stats));
+    tip->store(static_cast<uint32_t>(
+        tip->load() + stats.classification.added_vertices -
+        stats.classification.removed_vertices));
+    EditAck ack;
+    ack.epoch = stats.epoch;
+    return ack;
+  };
+  return sopts;
+}
+
+/// The rows of a GQL JSON result body (its stats section dropped).
+std::string ResultRows(const std::string& body) {
+  const size_t begin = body.find("\"rows\":");
+  const size_t end = body.find(",\"stats\":");
+  if (begin == std::string::npos || end == std::string::npos) return body;
+  return body.substr(begin, end - begin);
+}
+
+TEST(NetServerTest, QueryAfterRemoteEditReadsTheNewEpoch) {
+  // The seed-7 demo store: a query before the edit materializes the
+  // full graph; the same query after `edit apply` must answer from the
+  // published epoch, exactly as a fresh executor over the edited store
+  // does — with and without the WAL's group-commit queue.
+  gen::DblpOptions gopts;
+  gopts.levels = 2;
+  gopts.fanout = 3;
+  gopts.leaf_size = 20;
+  gopts.seed = 7;
+  gen::DblpGraph dblp = std::move(gen::GenerateDblp(gopts)).value();
+  const uint32_t n = dblp.graph.num_nodes();
+  for (bool wal : {false, true}) {
+    SCOPED_TRACE(wal ? "wal on" : "wal off");
+    const std::string path = std::string(::testing::TempDir()) +
+                             (wal ? "/net_stale_wal.gtree"
+                                  : "/net_stale.gtree");
+    std::remove((path + ".wal").c_str());
+    core::EngineOptions eopts;
+    eopts.build.levels = 2;
+    eopts.build.fanout = 3;
+    eopts.wal.enabled = wal;
+    auto engine = std::move(core::GMineEngine::Build(dblp.graph, dblp.labels,
+                                                     path, eopts))
+                      .value();
+    std::unique_ptr<core::EditQueue> queue;
+    Server server(&engine->sessions(),
+                  WritableOptions(engine.get(), n, &queue));
+    ASSERT_TRUE(server.Start().ok());
+
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+    auto before = client.Roundtrip("query MINE DEGREES");
+    ASSERT_TRUE(before.ok());
+    ASSERT_TRUE(before.value().ok) << before.value().text;
+    size_t added = 0;
+    for (uint32_t v = 1; v < n && added < 21; ++v) {
+      if (dblp.graph.HasEdge(0, v)) continue;
+      auto queued = client.Roundtrip(StrFormat("edit add-edge 0 %u", v));
+      ASSERT_TRUE(queued.ok());
+      ASSERT_TRUE(queued.value().ok) << queued.value().text;
+      ++added;
+    }
+    auto ack = client.Roundtrip("edit apply");
+    ASSERT_TRUE(ack.ok());
+    EXPECT_EQ(ack.value().text.find("committed ops=21 "), 0u)
+        << ack.value().text;
+    auto after = client.Roundtrip("query MINE DEGREES");
+    ASSERT_TRUE(after.ok());
+    ASSERT_TRUE(after.value().ok) << after.value().text;
+    (void)client.Roundtrip("close");
+    client.Close();
+    server.Stop();
+    if (queue != nullptr) queue->Stop();
+
+    auto fresh = query::Executor(&engine->store()).ExecuteText("MINE DEGREES");
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    const std::string want = ResultRows(query::ResultToJson(fresh.value()));
+    EXPECT_EQ(ResultRows(after.value().body), want);
+    EXPECT_NE(ResultRows(before.value().body), want);
+    engine.reset();
+    std::remove(path.c_str());
+    std::remove((path + ".wal").c_str());
+  }
+}
+
 TEST(NetServerTest, WritableServerCommitsEditBatchWithAck) {
-  // Engine-backed writable server, mirroring `gmine server --writable
-  // on` without --wal: a mutex serializes ApplyEdit, acks carry lsn=0
-  // and the publishing epoch.
+  // Engine-backed writable server without a WAL: acks carry lsn=0 and
+  // the publishing epoch.
   gen::DblpOptions gopts;
   gopts.levels = 2;
   gopts.fanout = 3;
@@ -551,27 +672,10 @@ TEST(NetServerTest, WritableServerCommitsEditBatchWithAck) {
                                          eopts))
           .value();
 
-  auto edit_mu = std::make_shared<std::mutex>();
-  auto tip = std::make_shared<std::atomic<uint32_t>>(
-      dblp.graph.num_nodes());
-  ServerOptions sopts;
-  sopts.writable = true;
-  core::GMineEngine* eng = engine.get();
-  sopts.tip_nodes = [tip] { return tip->load(); };
-  sopts.apply_edit = [eng, edit_mu, tip](graph::GraphEdit edit,
-                                         std::vector<std::string> labels)
-      -> gmine::Result<EditAck> {
-    std::lock_guard<std::mutex> lock(*edit_mu);
-    core::EditStats stats;
-    GMINE_RETURN_IF_ERROR(eng->ApplyEdit(edit, labels, &stats));
-    tip->store(static_cast<uint32_t>(
-        tip->load() + stats.classification.added_vertices -
-        stats.classification.removed_vertices));
-    EditAck ack;
-    ack.epoch = stats.epoch;
-    return ack;
-  };
-  Server server(&engine->sessions(), sopts);
+  std::unique_ptr<core::EditQueue> queue;
+  Server server(&engine->sessions(),
+                WritableOptions(engine.get(), dblp.graph.num_nodes(),
+                                &queue));
   ASSERT_TRUE(server.Start().ok());
 
   Client client;

@@ -50,7 +50,7 @@ TEST(PageRankEquivalenceTest, SerialMatchesParallelBitForBit) {
   // path actually dispatches to the pool.
   auto g = gen::ErdosRenyiM(3000, 12000, 42).value();
   mining::PageRankOptions serial;
-  serial.threads = 1;  // deprecated field: the compat shim must still work
+  serial.context.threads = 1;
   mining::PageRankOptions parallel;
   parallel.context.threads = 4;
   auto r1 = mining::ComputePageRank(g, serial);
@@ -109,7 +109,7 @@ TEST(RwrEquivalenceTest, SerialMatchesParallelBitForBit) {
 TEST(RwrEquivalenceTest, DanglingGraph) {
   graph::Graph g = DanglingWeightedGraph();
   csg::RwrOptions serial;
-  serial.threads = 1;  // deprecated field: the compat shim must still work
+  serial.context.threads = 1;
   csg::RwrOptions parallel;
   parallel.context.threads = 4;
   auto r1 = csg::RandomWalkWithRestart(g, 0, serial);
