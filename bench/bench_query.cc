@@ -72,7 +72,7 @@ QueryRun RunOnce(const gtree::GTreeStore& store, bool pushdown) {
   query::ExecutorOptions opts;
   opts.pushdown = pushdown;
   opts.threads = 1;
-  query::Executor exec(&store, nullptr, opts);
+  query::Executor exec(&store, opts);
   StopWatch watch;
   auto result = exec.ExecuteText(kSelectiveQuery);
   QueryRun run;

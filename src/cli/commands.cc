@@ -20,10 +20,8 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/session_ops.h"
-#include "mining/pagescan_kernels.h"
 #include "query/executor.h"
 #include "storage/buffer_pool.h"
-#include "storage/page_scan.h"
 #include "util/parallel.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -190,11 +188,12 @@ Status CmdBuild(const CommandLine& cmd, std::string* out) {
 }
 
 // ------------------------------------------------------------------ mine
-// Whole-store mining kernels over the page scan (docs/OUTOFCORE.md):
-// peak memory is O(nodes) scalars plus the buffer-pool budget, so the
-// store may be arbitrarily larger than --mem-budget-mb. Legacy stores
-// (no per-page complete adjacency) fall back to materializing the
-// graph and the in-memory kernels. PageRank runs restartable:
+// Whole-store mining kernels through query::MineStore
+// (docs/OUTOFCORE.md): streamed stores run the page kernels, whose peak
+// memory is O(nodes) scalars plus the buffer-pool budget, so the store
+// may be arbitrarily larger than --mem-budget-mb; legacy stores (no
+// per-page complete adjacency) run the in-memory kernels over the
+// store's full graph. Page-path PageRank runs restartable:
 // --checkpoint FILE persists progress every --checkpoint-every pages,
 // and --resume continues from that file bit-identically.
 
@@ -205,40 +204,25 @@ Status CmdMine(const CommandLine& cmd, std::string* out) {
   GMINE_ASSIGN_OR_RETURN(uint64_t mem_budget_mb,
                          FlagUint(cmd, "mem-budget-mb", 64));
   storage::BufferPool::Global().SetBudgetBytes(mem_budget_mb << 20);
-  const std::string kernel = cmd.Get("kernel", "pagerank");
-  if (kernel != "pagerank" && kernel != "degrees" &&
-      kernel != "components") {
+  const std::optional<query::ast::MineStatement::Kernel> kernel =
+      query::ast::ParseMineKernel(cmd.Get("kernel", "pagerank"));
+  if (!kernel.has_value()) {
     return UsageError(
         "mine: --kernel expects pagerank, degrees or components");
   }
   GMINE_ASSIGN_OR_RETURN(uint64_t top, FlagUint(cmd, "top", 10));
   GMINE_ASSIGN_OR_RETURN(std::unique_ptr<gtree::GTreeStore> store,
                          gtree::GTreeStore::Open(cmd.positional[0]));
-  std::unique_ptr<storage::PageScan> scan = store->NewPageScan();
   StopWatch watch;
 
-  auto print_pagerank = [&](const mining::PageRankResult& r,
-                            const char* engine) {
-    *out += StrFormat(
-        "pagerank (%s): %s after %d sweep(s), delta=%.3e, %s\n", engine,
-        r.converged ? "converged" : "stopped", r.iterations,
-        r.final_delta, HumanMicros(watch.ElapsedMicros()).c_str());
-    for (graph::NodeId v :
-         mining::TopKByScore(r.score, static_cast<uint32_t>(top))) {
-      const std::string label(store->labels().Label(v));
-      *out += StrFormat("  %u %.8f%s%s\n", v, r.score[v],
-                        label.empty() ? "" : " ", label.c_str());
-    }
-  };
-
-  if (kernel == "pagerank") {
-    mining::PageRankOverPagesOptions options;
+  mining::PageRankOverPagesOptions options;
+  if (*kernel == query::ast::MineStatement::Kernel::kPagerank) {
     const std::string ckpt_path = cmd.Get("checkpoint");
     if (!ckpt_path.empty()) {
       GMINE_ASSIGN_OR_RETURN(uint64_t every,
                              FlagUint(cmd, "checkpoint-every", 8));
       options.checkpoint_every_pages = every;
-      options.checkpoint_sink = [&ckpt_path](const std::string& blob) {
+      options.checkpoint_sink = [ckpt_path](const std::string& blob) {
         return graph::WriteStringToFile(blob, ckpt_path);
       };
     }
@@ -250,45 +234,32 @@ Status CmdMine(const CommandLine& cmd, std::string* out) {
       if (!blob.ok()) return blob.status();
       options.resume_from = std::move(blob).value();
     }
-    auto r = mining::PageRankOverPages(*scan, options);
-    if (r.ok()) {
-      print_pagerank(r.value(), "pages");
-      return Status::OK();
-    }
-    if (!r.status().IsNotSupported()) return r.status();
-    GMINE_ASSIGN_OR_RETURN(graph::Graph g, store->MaterializeFullGraph());
-    print_pagerank(mining::ComputePageRank(g), "in-memory");
-    return Status::OK();
   }
+  GMINE_ASSIGN_OR_RETURN(query::MineResult mined,
+                         query::MineStore(*store, *kernel, options));
+  const std::string took = HumanMicros(watch.ElapsedMicros());
 
-  if (kernel == "degrees") {
-    auto d = mining::DegreeDistributionOverPages(*scan);
-    const char* engine = "pages";
-    if (!d.ok()) {
-      if (!d.status().IsNotSupported()) return d.status();
-      GMINE_ASSIGN_OR_RETURN(graph::Graph g,
-                             store->MaterializeFullGraph());
-      d = mining::ComputeDegreeDistribution(g);
-      engine = "in-memory";
+  if (const auto* r = std::get_if<mining::PageRankResult>(&mined.value)) {
+    *out += StrFormat(
+        "pagerank (%s): %s after %d sweep(s), delta=%.3e, %s\n",
+        mined.engine, r->converged ? "converged" : "stopped", r->iterations,
+        r->final_delta, took.c_str());
+    for (graph::NodeId v :
+         mining::TopKByScore(r->score, static_cast<uint32_t>(top))) {
+      const std::string label(store->labels().Label(v));
+      *out += StrFormat("  %u %.8f%s%s\n", v, r->score[v],
+                        label.empty() ? "" : " ", label.c_str());
     }
-    *out += StrFormat("degrees (%s): %s, %s\n", engine,
-                      d.value().ToString().c_str(),
-                      HumanMicros(watch.ElapsedMicros()).c_str());
-    return Status::OK();
+  } else if (const auto* d =
+                 std::get_if<mining::DegreeDistribution>(&mined.value)) {
+    *out += StrFormat("degrees (%s): %s, %s\n", mined.engine,
+                      d->ToString().c_str(), took.c_str());
+  } else {
+    const auto& c = std::get<mining::ComponentResult>(mined.value);
+    *out += StrFormat("components (%s): %u component(s), largest=%u, %s\n",
+                      mined.engine, c.num_components, c.LargestSize(),
+                      took.c_str());
   }
-
-  auto c = mining::WeakComponentsOverPages(*scan);
-  const char* engine = "pages";
-  if (!c.ok()) {
-    if (!c.status().IsNotSupported()) return c.status();
-    GMINE_ASSIGN_OR_RETURN(graph::Graph g, store->MaterializeFullGraph());
-    c = mining::WeakComponents(g);
-    engine = "in-memory";
-  }
-  *out += StrFormat("components (%s): %u component(s), largest=%u, %s\n",
-                    engine, c.value().num_components,
-                    c.value().LargestSize(),
-                    HumanMicros(watch.ElapsedMicros()).c_str());
   return Status::OK();
 }
 
@@ -545,9 +516,7 @@ Status RunEditScript(GMineEngine* engine, core::EditQueue* queue,
       edit.emplace(queue->tip_nodes());
       return Status::OK();
     }
-    auto g = engine->full_graph();
-    if (!g.ok()) return g.status();
-    edit.emplace(g.value()->num_nodes());
+    edit.emplace(engine->store().num_graph_nodes());
     return Status::OK();
   };
   auto apply_batch = [&]() -> Status {
@@ -957,9 +926,8 @@ Status CmdServe(const CommandLine& cmd, std::string* out) {
   std::vector<std::vector<ServeOp>> queues;
   GMINE_RETURN_IF_ERROR(ParseServeScript(script, ids.size(), &queues));
 
-  // Shared GQL executor for `query` ops (const, thread-safe; loads its
-  // own full-graph copy lazily if a script EXTRACTs). The store is
-  // read-only here, so one executor serves every session.
+  // Shared GQL executor for `query` ops (const, thread-safe; EXTRACT
+  // reads the store's shared full graph).
   query::Executor executor(store.value().get());
 
   // Multiplex: each session's queue runs in script order; different
@@ -1158,7 +1126,8 @@ Status CmdServer(const CommandLine& cmd, std::string* out) {
   // Remote mutation (EDIT ops): with --wal the batches flow through the
   // group-commit queue (concurrent writers coalesce, acks carry real
   // LSNs); without it a mutex serializes engine->ApplyEdit and the tip
-  // node count is tracked by hand.
+  // node count is tracked by hand — the tip is read while another
+  // connection applies, so it cannot ask the store mid-edit.
   std::unique_ptr<core::EditQueue> equeue;
   auto edit_mu = std::make_shared<std::mutex>();
   auto tip = std::make_shared<std::atomic<uint32_t>>(0);
@@ -1182,9 +1151,7 @@ Status CmdServer(const CommandLine& cmd, std::string* out) {
         return ack;
       };
     } else {
-      auto g = engine->full_graph();
-      if (!g.ok()) return g.status();
-      tip->store(g.value()->num_nodes());
+      tip->store(engine->store().num_graph_nodes());
       GMineEngine* eng = engine.get();
       nopts.tip_nodes = [tip] { return tip->load(); };
       nopts.apply_edit =

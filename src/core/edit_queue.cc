@@ -48,10 +48,9 @@ void Resolve(std::promise<EditCommit>& promise, Status status,
 }  // namespace
 
 EditQueue::EditQueue(GMineEngine* engine, const EditQueueOptions& options)
-    : engine_(engine), options_(options) {
-  auto g = engine_->full_graph();
-  tip_nodes_ =
-      g.ok() ? static_cast<uint32_t>((*g.value()).num_nodes()) : 0;
+    : engine_(engine),
+      options_(options),
+      tip_nodes_(engine->store().num_graph_nodes()) {
   committer_ = std::thread([this] { CommitterLoop(); });
 }
 

@@ -125,12 +125,12 @@ Status GMineEngine::ApplyEdit(const graph::GraphEdit& edit,
   EditStats& out = stats != nullptr ? *stats : local;
   out = EditStats();
 
-  auto base = full_graph();
-  if (!base.ok()) return base.status();
+  GMINE_ASSIGN_OR_RETURN(std::shared_ptr<const graph::Graph> base,
+                         full_graph());
   // Edits without node removals never remap ids, so the cheap CSR merge
   // applies; removals fall back to the general rebuild-through-builder.
-  auto edited = edit.removed_nodes().empty() ? edit.ApplyFast(*base.value())
-                                             : edit.Apply(*base.value());
+  auto edited = edit.removed_nodes().empty() ? edit.ApplyFast(*base)
+                                             : edit.Apply(*base);
   if (!edited.ok()) return edited.status();
   graph::EditResult result = std::move(edited).value();
 
@@ -165,8 +165,8 @@ Status GMineEngine::ApplyEdit(const graph::GraphEdit& edit,
 
   Status published;
   if (options_.edit.incremental) {
-    published = ApplyEditIncremental(edit, result, labels, labels_changed,
-                                     &out, wal_lsn);
+    published = ApplyEditIncremental(*base, edit, result, labels,
+                                     labels_changed, &out, wal_lsn);
   } else {
     published = ApplyEditFullRebuild(
         result, labels_changed ? labels : store_->labels(), &out, wal_lsn);
@@ -177,16 +177,13 @@ Status GMineEngine::ApplyEdit(const graph::GraphEdit& edit,
   if (default_session_ == nullptr) {
     return Status::Internal("engine default session missing after edit");
   }
-  {
-    std::lock_guard<std::mutex> lock(graph_mu_);
-    full_graph_ = std::move(result.graph);
-  }
   out.epoch = sessions_->epoch();
   out.micros = watch.ElapsedMicros();
   return Status::OK();
 }
 
-Status GMineEngine::ApplyEditIncremental(const graph::GraphEdit& edit,
+Status GMineEngine::ApplyEditIncremental(const graph::Graph& base,
+                                         const graph::GraphEdit& edit,
                                          graph::EditResult& result,
                                          const graph::LabelStore& labels,
                                          bool labels_changed,
@@ -195,10 +192,8 @@ Status GMineEngine::ApplyEditIncremental(const graph::GraphEdit& edit,
   gtree::RepairOptions ropts;
   ropts.build = options_.build;
   ropts.max_leaf_size = options_.edit.max_leaf_size;
-  auto base = full_graph();
-  if (!base.ok()) return base.status();
   auto repaired =
-      gtree::RepairGTree(store_->tree(), *base.value(), edit, result, ropts);
+      gtree::RepairGTree(store_->tree(), base, edit, result, ropts);
   if (!repaired.ok()) return repaired.status();
   gtree::RepairResult& rep = repaired.value();
   out->classification = rep.classification;
@@ -224,7 +219,7 @@ Status GMineEngine::ApplyEditIncremental(const graph::GraphEdit& edit,
 
   gtree::GTreeStoreUpdate update;
   update.tree = &rep.tree;
-  update.graph = &result.graph;
+  update.graph = std::make_shared<const graph::Graph>(std::move(result.graph));
   update.dirty_pages = std::move(pages);
   update.old_to_new = rep.topology_changed ? &rep.old_to_new : nullptr;
   if (rep.rebuild_connectivity) {
@@ -294,16 +289,6 @@ Status GMineEngine::ApplyEditFullRebuild(graph::EditResult& result,
   out->connectivity_rebuilt = true;
   out->pages_written = store_->tree().num_leaves();
   return Status::OK();
-}
-
-gmine::Result<const graph::Graph*> GMineEngine::full_graph() {
-  std::lock_guard<std::mutex> lock(graph_mu_);
-  if (!full_graph_.has_value()) {
-    auto g = store_->MaterializeFullGraph();
-    if (!g.ok()) return g.status();
-    full_graph_ = std::move(g).value();
-  }
-  return &full_graph_.value();
 }
 
 gmine::Result<NodeDetails> GMineEngine::GetNodeDetails(NodeId v) {
@@ -402,9 +387,7 @@ gmine::Result<std::vector<NodeId>> GMineEngine::ResolveLabels(
 
 gmine::Result<query::QueryResult> GMineEngine::Query(
     std::string_view statement, const query::ExecutorOptions& options) {
-  query::Executor executor(
-      store_.get(), [this]() { return full_graph(); }, options);
-  return executor.ExecuteText(statement);
+  return query::Executor(store_.get(), options).ExecuteText(statement);
 }
 
 Status GMineEngine::RenderHierarchyView(const std::string& svg_path) {

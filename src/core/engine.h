@@ -15,8 +15,6 @@
 #define GMINE_CORE_ENGINE_H_
 
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -130,8 +128,8 @@ struct NodeDetails {
 ///
 /// Thread-safety: the read-side surface (GetNodeDetails, ExpandNode,
 /// ExtractConnectionSubgraph, ResolveLabels, tree/labels accessors) may
-/// be called from multiple threads — the store's page cache and the lazy
-/// full-graph load are internally synchronized. All navigation goes
+/// be called from multiple threads — the store's page cache and its
+/// shared full graph are internally synchronized. All navigation goes
 /// through the session pool (sessions()): concurrent sessions are safe
 /// via SessionManager::WithSession, while the legacy single-session
 /// accessor session() hands out the pool's pinned default session and
@@ -202,9 +200,8 @@ class GMineEngine {
   /// Runs one GQL statement (docs/QUERY.md) against this engine's
   /// store: parse -> plan -> execute. MATCH statements stream leaf
   /// pages through the buffer pool (with predicate pushdown unless
-  /// `options` vetoes it); EXTRACT uses the engine's lazily loaded
-  /// full graph. Safe from multiple threads, like the rest of the
-  /// read surface.
+  /// `options` vetoes it); EXTRACT uses the store's shared full graph.
+  /// Safe from multiple threads, like the rest of the read surface.
   gmine::Result<query::QueryResult> Query(
       std::string_view statement,
       const query::ExecutorOptions& options = {});
@@ -231,8 +228,11 @@ class GMineEngine {
   /// Renders the focused leaf's subgraph to SVG (focus must be a leaf).
   Status RenderFocusSubgraph(const std::string& svg_path);
 
-  /// Full graph accessor (lazy-loads from the store's graph section).
-  gmine::Result<const graph::Graph*> full_graph();
+  /// The store's shared full graph (GTreeStore::FullGraph): built on
+  /// first use, replaced by ApplyEdit with the post-edit graph.
+  gmine::Result<std::shared_ptr<const graph::Graph>> full_graph() const {
+    return store_->FullGraph();
+  }
 
   /// Path of the backing store file.
   const std::string& store_path() const { return store_path_; }
@@ -253,7 +253,8 @@ class GMineEngine {
 
   /// ApplyEdit back ends: subtree repair published through the pool's
   /// epoch bump, vs the legacy whole-graph rebuild + store swap.
-  Status ApplyEditIncremental(const graph::GraphEdit& edit,
+  Status ApplyEditIncremental(const graph::Graph& base,
+                              const graph::GraphEdit& edit,
                               graph::EditResult& result,
                               const graph::LabelStore& labels,
                               bool labels_changed, EditStats* out,
@@ -272,10 +273,6 @@ class GMineEngine {
   /// The pool's pinned default session; never evicted, so the raw
   /// pointer stays valid until the pool is replaced.
   gtree::NavigationSession* default_session_ = nullptr;
-  /// Guards the lazy full_graph_ load (the same mutex treatment the
-  /// store's page cache has); once loaded the graph itself is immutable.
-  std::mutex graph_mu_;
-  std::optional<graph::Graph> full_graph_;
   std::string store_path_;
   EngineOptions options_;
   std::unique_ptr<storage::Wal> wal_;

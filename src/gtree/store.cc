@@ -504,6 +504,21 @@ gmine::Result<graph::Graph> GTreeStore::LoadFullGraph() const {
   return current;
 }
 
+gmine::Result<std::shared_ptr<const graph::Graph>> GTreeStore::FullGraph()
+    const {
+  std::lock_guard<std::mutex> lock(graph_mu_);
+  if (full_graph_ == nullptr) {
+    GMINE_ASSIGN_OR_RETURN(graph::Graph g, MaterializeFullGraph());
+    full_graph_ = std::make_shared<const graph::Graph>(std::move(g));
+  }
+  return full_graph_;
+}
+
+void GTreeStore::AdoptFullGraph(std::shared_ptr<const graph::Graph> g) {
+  std::lock_guard<std::mutex> lock(graph_mu_);
+  full_graph_ = std::move(g);
+}
+
 gmine::Result<std::shared_ptr<const LeafPayload>> GTreeStore::LoadLeaf(
     TreeNodeId leaf, ReaderTag reader) const {
   if (storage::PagePayload hit = pool_->Lookup(pool_id_, leaf, reader)) {
@@ -632,6 +647,7 @@ Status GTreeStore::ApplyUpdate(GTreeStoreUpdate& update,
           StrFormat("ApplyUpdate: cannot replace %s", path_.c_str()));
     }
     GMINE_RETURN_IF_ERROR(LoadMetadata(path_));
+    AdoptFullGraph(std::move(update.graph));
     // Every page was rewritten, so every resident frame of *this*
     // store is stale; other stores' frames are untouched.
     out.pages_invalidated +=
@@ -788,7 +804,9 @@ Status GTreeStore::ApplyUpdate(GTreeStoreUpdate& update,
     labels_section_ = PageLocation{t.labels_off, t.labels_size};
   }
   journal_.push_back(*update.journal_edit);
+  num_graph_nodes_ = t.num_graph_nodes;
   applied_lsn_ = t.applied_lsn;
+  AdoptFullGraph(std::move(update.graph));
   file_size_ = append_base + appended.size();
   out.appended_bytes = appended.size();
   out.journal_ops = journal_.size();

@@ -31,8 +31,14 @@
 // rather than the graph — and, since the pool's byte budget spans every
 // open store, bounded for the whole process, not per store.
 //
+// The whole graph — what connection-subgraph extraction and the
+// in-memory mining kernels need — has exactly one resident copy per
+// published store state: FullGraph() builds it on first use and shares
+// it, ApplyUpdate swaps in the post-edit graph, and it is freed with the
+// store. It lives outside the pool's byte budget.
+//
 // Concurrency: the store is logically read-only, so the whole read
-// surface (LoadLeaf, LoadFullGraph, stats) is const and safe from any
+// surface (LoadLeaf, FullGraph, stats) is const and safe from any
 // number of threads — this is what lets one store serve a pool of
 // NavigationSessions. Frame lookup/insert latching lives in the buffer
 // pool (sharded by (store id, leaf id) hash); the shared FILE* keeps its
@@ -152,8 +158,8 @@ struct GTreeStoreStats {
 };
 
 /// One repaired state to publish through GTreeStore::ApplyUpdate. All
-/// pointers must outlive the call; `tree` (and `replacement_conn` when
-/// set) are consumed by move.
+/// pointers must outlive the call; `tree`, `graph` (and
+/// `replacement_conn` when set) are consumed by move.
 struct GTreeStoreUpdate {
   /// The post-edit hierarchy (required; moved into the store).
   GTree* tree = nullptr;
@@ -166,9 +172,10 @@ struct GTreeStoreUpdate {
   ConnectivityIndex* replacement_conn = nullptr;
   /// Post-edit labels; nullptr = unchanged.
   const graph::LabelStore* labels = nullptr;
-  /// The post-edit full graph (required; used by the compaction path and
-  /// for sanity counts — never retained).
-  const graph::Graph* graph = nullptr;
+  /// The post-edit full graph (required): written by the compaction
+  /// path, and adopted as the store's FullGraph() once the update
+  /// commits.
+  std::shared_ptr<const graph::Graph> graph;
   /// Pages to (re)serialize, keyed by new-tree leaf ids.
   std::vector<std::pair<TreeNodeId, graph::Subgraph>> dirty_pages;
   /// Old tree id -> new tree id for surviving clean pages; nullptr =
@@ -204,8 +211,8 @@ class GTreeStore {
   /// Builds every leaf payload from `g` and writes the complete store to
   /// `path` (truncating). The full graph is embedded as its own section
   /// so one file carries everything ("stored in a single file"); it is
-  /// only read back by LoadFullGraph(). `hints`, when given, records the
-  /// build shape in the header for later edit repairs.
+  /// only read back to materialize the full graph. `hints`, when given,
+  /// records the build shape in the header for later edit repairs.
   /// `applied_lsn` is the WAL watermark to record (0 = no WAL).
   static Status Create(const std::string& path, const graph::Graph& g,
                        const GTree& tree, const ConnectivityIndex& conn,
@@ -272,18 +279,18 @@ class GTreeStore {
   /// benchmarks). Other stores' frames are untouched.
   void ClearCache();
 
-  /// Reads the embedded full graph and replays the edit journal on top
-  /// (global operations like connection subgraph extraction need it).
-  /// Not cached: the caller owns the copy. Safe to call concurrently
-  /// with LoadLeaf.
-  gmine::Result<graph::Graph> LoadFullGraph() const;
+  /// The full graph, shared: one copy per published store state, built
+  /// by MaterializeFullGraph() on first use (concurrent first callers
+  /// wait for the one build) and kept until ApplyUpdate publishes the
+  /// next state or the store closes. Global operations — connection
+  /// subgraph extraction, the in-memory mining kernels — read this.
+  gmine::Result<std::shared_ptr<const graph::Graph>> FullGraph() const;
 
-  /// The full graph by whichever route this store supports: the
-  /// embedded graph section (legacy stores, journal replayed) or a
-  /// reconstruction from the boundary-carrying leaf pages (streamed
-  /// stores, which have no graph section). Callers that only need *a*
-  /// resident graph — CSG extraction, non-leaf metrics — should use
-  /// this instead of raw LoadFullGraph.
+  /// A fresh copy of the full graph by whichever route this store
+  /// supports: the embedded graph section with the journal replayed
+  /// (legacy stores) or a reconstruction from the boundary-carrying leaf
+  /// pages (streamed stores, which have no graph section). Uncached:
+  /// every call pays the read; FullGraph() shares one copy instead.
   gmine::Result<graph::Graph> MaterializeFullGraph() const;
 
   /// Opens a pull-based scan over this store's leaf pages in ascending
@@ -310,8 +317,10 @@ class GTreeStore {
   /// a full rewrite when the journal is due or ids remapped. NOT
   /// internally synchronized against the read surface: the caller must
   /// exclude every concurrent reader (core::SessionManager::UpdateEpoch
-  /// provides exactly that). On error the store is unchanged in memory
-  /// and on disk (the old header still describes the old sections).
+  /// provides exactly that). On success the update's graph becomes
+  /// FullGraph(); on error the store is unchanged in memory (old graph
+  /// included) and on disk (the old header still describes the old
+  /// sections).
   Status ApplyUpdate(GTreeStoreUpdate& update,
                      GTreeStoreUpdateStats* stats = nullptr);
 
@@ -360,6 +369,13 @@ class GTreeStore {
   /// Reads `loc` from the backing file under file_mu_.
   Status ReadAt(const PageLocation& loc, std::string* out) const;
 
+  /// Reads the embedded graph section and replays the edit journal on
+  /// top (legacy stores; MaterializeFullGraph's first route).
+  gmine::Result<graph::Graph> LoadFullGraph() const;
+
+  /// Makes `g` the shared FullGraph() (ApplyUpdate's commit).
+  void AdoptFullGraph(std::shared_ptr<const graph::Graph> g);
+
   friend class GTreeLeafPageScan;
 
   std::FILE* file_ = nullptr;
@@ -387,6 +403,10 @@ class GTreeStore {
   // Bytes read for full-graph loads (bypass the page pool); guarded by
   // file_mu_.
   mutable uint64_t graph_bytes_read_ = 0;
+  // The shared full graph (FullGraph()); null until first use. Guards
+  // both the lazy build and ApplyUpdate's swap.
+  mutable std::mutex graph_mu_;
+  mutable std::shared_ptr<const graph::Graph> full_graph_;
   // The page pool this store's frames live in, and this store's
   // identity within it. Both immutable after Open.
   storage::BufferPool* pool_ = nullptr;

@@ -1,22 +1,19 @@
 #include "http/jobs.h"
 
 #include <atomic>
+#include <optional>
 #include <utility>
 #include <vector>
 
-#include "gtree/store.h"
-#include "mining/components.h"
-#include "mining/degree.h"
-#include "mining/pagerank.h"
-#include "mining/pagescan_kernels.h"
-#include "net/protocol.h"
-#include "storage/page_scan.h"
+#include "query/executor.h"
 #include "util/string_util.h"
 
 namespace gmine::http {
 
 struct JobManager::Job {
   MineJobInfo info;  // guarded by the manager's mu_
+  query::ast::MineStatement::Kernel kernel =
+      query::ast::MineStatement::Kernel::kPagerank;
   uint32_t top_k = 10;
   std::atomic<bool> cancel{false};
   core::CatalogSession lease;
@@ -66,8 +63,9 @@ JobManager::~JobManager() { Shutdown(); }
 gmine::Result<uint64_t> JobManager::Submit(const std::string& store,
                                            const std::string& kernel,
                                            uint32_t top_k) {
-  if (kernel != "pagerank" && kernel != "degrees" &&
-      kernel != "components") {
+  const std::optional<query::ast::MineStatement::Kernel> parsed =
+      query::ast::ParseMineKernel(kernel);
+  if (!parsed.has_value()) {
     return Status::InvalidArgument(StrFormat(
         "unknown kernel '%s' (expected pagerank, degrees or components)",
         kernel.c_str()));
@@ -82,6 +80,7 @@ gmine::Result<uint64_t> JobManager::Submit(const std::string& store,
   job->info.id = id;
   job->info.store = store;
   job->info.kernel = kernel;
+  job->kernel = *parsed;
   job->info.state = "running";
   job->top_k = top_k == 0 ? 10 : top_k;
   job->lease = std::move(lease);
@@ -92,67 +91,31 @@ gmine::Result<uint64_t> JobManager::Submit(const std::string& store,
 }
 
 void JobManager::Run(Job* job) {
-  gtree::GTreeStore* store = job->lease.store();
-  mining::KernelContext context;
-  context.cancelled = [job] {
+  const gtree::GTreeStore& store = *job->lease.store();
+  mining::PageRankOverPagesOptions options;
+  options.context.cancelled = [job] {
     return job->cancel.load(std::memory_order_relaxed);
   };
-  context.progress = [this, job](const mining::KernelProgress& p) {
+  options.context.progress = [this, job](const mining::KernelProgress& p) {
     std::lock_guard<std::mutex> lock(mu_);
     job->info.progress = p;
   };
-
-  std::string engine = "pages";
+  auto mined = query::MineStore(store, job->kernel, options);
   std::string result_json;
-  Status status = Status::OK();
-
-  auto run_pages = [&]() -> Status {
-    std::unique_ptr<storage::PageScan> scan = store->NewPageScan();
-    if (job->info.kernel == "pagerank") {
-      mining::PageRankOverPagesOptions options;
-      options.context = context;
-      auto r = mining::PageRankOverPages(*scan, options);
-      if (!r.ok()) return r.status();
-      result_json = PageRankResultJson(r.value(), job->top_k);
-    } else if (job->info.kernel == "degrees") {
-      auto r = mining::DegreeDistributionOverPages(*scan, context);
-      if (!r.ok()) return r.status();
-      result_json = DegreesResultJson(r.value());
-    } else {
-      auto r = mining::WeakComponentsOverPages(*scan, context);
-      if (!r.ok()) return r.status();
-      result_json = ComponentsResultJson(r.value());
-    }
-    return Status::OK();
-  };
-
-  auto run_in_memory = [&]() -> Status {
-    engine = "in-memory";
-    auto g = store->MaterializeFullGraph();
-    if (!g.ok()) return g.status();
-    if (context.IsCancelled()) return Status::Aborted("job cancelled");
-    if (job->info.kernel == "pagerank") {
-      mining::PageRankOptions options;
-      options.context = context;
-      const mining::PageRankResult r =
-          mining::ComputePageRank(g.value(), options);
-      if (context.IsCancelled()) return Status::Aborted("job cancelled");
-      result_json = PageRankResultJson(r, job->top_k);
-    } else if (job->info.kernel == "degrees") {
-      result_json =
-          DegreesResultJson(mining::ComputeDegreeDistribution(g.value()));
+  if (mined.ok()) {
+    const auto& value = mined.value().value;
+    if (const auto* r = std::get_if<mining::PageRankResult>(&value)) {
+      result_json = PageRankResultJson(*r, job->top_k);
+    } else if (const auto* d =
+                   std::get_if<mining::DegreeDistribution>(&value)) {
+      result_json = DegreesResultJson(*d);
     } else {
       result_json =
-          ComponentsResultJson(mining::WeakComponents(g.value()));
+          ComponentsResultJson(std::get<mining::ComponentResult>(value));
     }
-    return Status::OK();
-  };
-
-  status = run_pages();
-  if (status.IsNotSupported()) {
-    // Legacy store without complete per-page adjacency.
-    status = run_in_memory();
   }
+  const char* engine = query::MineEngine(store);
+  const Status status = mined.status();
 
   job->lease.Release();
   std::lock_guard<std::mutex> lock(mu_);

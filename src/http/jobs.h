@@ -7,9 +7,10 @@
 // flag (the kernel notices at the next page/iteration boundary) and
 // progress updates land in the pollable job record.
 //
-// Streamed (out-of-core) stores mine page-at-a-time under the page
-// kernels; legacy stores fall back to materializing the graph and the
-// in-memory kernels. The job record says which engine ran.
+// The kernel runs through query::MineStore, which picks the engine:
+// streamed (out-of-core) stores mine page-at-a-time under the page
+// kernels, legacy stores run the in-memory kernels over the store's
+// shared full graph. The job record says which engine ran.
 
 #ifndef GMINE_HTTP_JOBS_H_
 #define GMINE_HTTP_JOBS_H_

@@ -5,6 +5,7 @@
 
 #include "gtree/navigation.h"
 #include "net/session_ops.h"
+#include "query/executor.h"
 #include "storage/buffer_pool.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -369,7 +370,8 @@ Response Server::Execute(const Request& request, Conn& conn,
           return Status::OK();
         }
         focus_before = nav.focus();
-        Status st = ExecuteSessionOp(request, nav, *QueryExecutor(nav),
+        Status st = ExecuteSessionOp(request, nav,
+                                     query::Executor(nav.store()),
                                      &response, &qs);
         focus_after = nav.focus();
         return st;
@@ -390,17 +392,6 @@ Response Server::Execute(const Request& request, Conn& conn,
                                        options_.prefetch_fanout);
   }
   return response;
-}
-
-std::shared_ptr<const query::Executor> Server::QueryExecutor(
-    const gtree::NavigationSession& nav) {
-  const uint64_t epoch = pool_->epoch();
-  std::lock_guard<std::mutex> lock(executor_mu_);
-  if (executor_ == nullptr || executor_epoch_ != epoch) {
-    executor_ = std::make_shared<const query::Executor>(nav.store());
-    executor_epoch_ = epoch;
-  }
-  return executor_;
 }
 
 Response Server::ExecuteEdit(const Request& request, Conn& conn) {

@@ -42,7 +42,6 @@
 #include "graph/graph_edit.h"
 #include "net/protocol.h"
 #include "net/socket.h"
-#include "query/executor.h"
 #include "util/status.h"
 
 namespace gmine::net {
@@ -177,10 +176,6 @@ class Server {
   /// reply got out.
   Response Execute(const Request& request, Conn& conn, bool* close_conn,
                    bool* request_shutdown);
-  /// The GQL executor for the pool's current epoch; call inside
-  /// WithSession, where the epoch cannot move.
-  std::shared_ptr<const query::Executor> QueryExecutor(
-      const gtree::NavigationSession& nav);
   /// EDIT sub-op dispatch (queue mutations, apply/abort the batch).
   Response ExecuteEdit(const Request& request, Conn& conn);
   std::string StatsText(const Conn& conn) const;
@@ -189,14 +184,6 @@ class Server {
   core::SessionManager* pool_;
   core::Prefetcher* prefetcher_;
   ServerOptions options_;
-
-  /// Shared GQL executor (QUERY op), replaced when the pool's epoch
-  /// moves: one lazy full-graph materialization per published store
-  /// state, never a stale one. Each op holds its own reference, so a
-  /// replaced executor lives until its last query ends.
-  std::mutex executor_mu_;
-  std::shared_ptr<const query::Executor> executor_;
-  uint64_t executor_epoch_ = 0;
 
   // Cumulative EDIT-op counters (an "edits" section in STATS when
   // writable).

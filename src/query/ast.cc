@@ -168,6 +168,13 @@ const char* MineKernelName(MineStatement::Kernel kernel) {
   return "?";
 }
 
+std::optional<MineStatement::Kernel> ParseMineKernel(std::string_view name) {
+  if (name == "pagerank") return MineStatement::Kernel::kPagerank;
+  if (name == "degrees") return MineStatement::Kernel::kDegrees;
+  if (name == "components") return MineStatement::Kernel::kComponents;
+  return std::nullopt;
+}
+
 std::string PrintPredicate(const Predicate& p) {
   return PrintAt(p, /*context=*/0, /*right=*/false);
 }

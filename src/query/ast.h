@@ -30,6 +30,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -162,6 +163,11 @@ struct Statement {
 
 /// Uppercase kernel keyword ("PAGERANK", "DEGREES", "COMPONENTS").
 const char* MineKernelName(MineStatement::Kernel kernel);
+
+/// The kernel a lowercase name ("pagerank", "degrees", "components")
+/// selects — the spelling of `gmine mine --kernel` and the REST mine
+/// body; nullopt for anything else.
+std::optional<MineStatement::Kernel> ParseMineKernel(std::string_view name);
 
 /// Lowercase field name ("id", "pagerank", ...).
 const char* FieldName(Field field);

@@ -4,11 +4,7 @@
 #include <utility>
 
 #include "csg/extraction.h"
-#include "mining/components.h"
-#include "mining/degree.h"
 #include "mining/hops.h"
-#include "mining/pagerank.h"
-#include "mining/pagescan_kernels.h"
 #include "query/parser.h"
 #include "storage/page_scan.h"
 #include "util/string_util.h"
@@ -202,27 +198,14 @@ void AppendJsonString(std::string_view s, std::string* out) {
 
 }  // namespace
 
-Executor::Executor(const gtree::GTreeStore* store, FullGraphFn full_graph,
-                   ExecutorOptions options)
-    : store_(store),
-      full_graph_fn_(std::move(full_graph)),
-      options_(options) {}
+Executor::Executor(const gtree::GTreeStore* store, ExecutorOptions options)
+    : store_(store), options_(options) {}
 
 PlanContext Executor::plan_context() const {
   PlanContext context;
   context.tree = &store_->tree();
   context.labels = &store_->labels();
   return context;
-}
-
-gmine::Result<const graph::Graph*> Executor::FullGraph() const {
-  if (full_graph_fn_) return full_graph_fn_();
-  std::lock_guard<std::mutex> lock(graph_mu_);
-  if (!owned_graph_.has_value()) {
-    GMINE_ASSIGN_OR_RETURN(graph::Graph g, store_->MaterializeFullGraph());
-    owned_graph_.emplace(std::move(g));
-  }
-  return &*owned_graph_;
 }
 
 gmine::Result<QueryResult> Executor::Execute(const Plan& plan) const {
@@ -350,7 +333,8 @@ gmine::Result<QueryResult> Executor::ExecuteMatch(
 
 gmine::Result<QueryResult> Executor::ExecuteExtract(
     const ExtractPlan& plan) const {
-  GMINE_ASSIGN_OR_RETURN(const graph::Graph* g, FullGraph());
+  GMINE_ASSIGN_OR_RETURN(std::shared_ptr<const graph::Graph> g,
+                         store_->FullGraph());
   csg::ExtractionOptions options;
   options.budget = plan.budget;
   GMINE_ASSIGN_OR_RETURN(
@@ -412,95 +396,92 @@ gmine::Result<QueryResult> Executor::ExecuteSummarize(
 
 gmine::Result<QueryResult> Executor::ExecuteMine(
     const MinePlan& plan) const {
-  using Kernel = ast::MineStatement::Kernel;
   QueryResult result;
-  // Page-at-a-time first: bounded memory on stores that carry boundary
-  // adjacency. NotSupported (legacy store) falls back to the in-memory
-  // kernels over the full graph; any other error is real.
-  mining::KernelContext context;
-  context.threads = options_.threads;
-  context.progress = [&result](const mining::KernelProgress& p) {
+  mining::PageRankOverPagesOptions options;
+  options.context.threads = options_.threads;
+  options.context.progress = [&result](const mining::KernelProgress& p) {
     result.stats.pages_scanned = p.pages_scanned;
     result.stats.pages_total = p.pages_total;
   };
-
-  auto emit_pagerank = [&](const mining::PageRankResult& r) {
+  GMINE_ASSIGN_OR_RETURN(MineResult mined,
+                         MineStore(*store_, plan.kernel, options));
+  if (const auto* r = std::get_if<mining::PageRankResult>(&mined.value)) {
     result.columns = {"id", "label", "score"};
     const graph::LabelStore& labels = store_->labels();
-    for (graph::NodeId v : mining::TopKByScore(r.score, plan.top)) {
+    for (graph::NodeId v : mining::TopKByScore(r->score, plan.top)) {
       result.rows.push_back({StrFormat("%u", v),
                              std::string(labels.Label(v)),
-                             StrFormat("%.8f", r.score[v])});
+                             StrFormat("%.8f", r->score[v])});
     }
-  };
-  auto emit_degrees = [&](const mining::DegreeDistribution& d) {
+  } else if (const auto* d =
+                 std::get_if<mining::DegreeDistribution>(&mined.value)) {
     result.columns = {"field", "value"};
-    result.rows.push_back({"min_degree", StrFormat("%u", d.min_degree)});
-    result.rows.push_back({"max_degree", StrFormat("%u", d.max_degree)});
-    result.rows.push_back({"mean_degree", StrFormat("%.6f", d.mean_degree)});
+    result.rows.push_back({"min_degree", StrFormat("%u", d->min_degree)});
+    result.rows.push_back({"max_degree", StrFormat("%u", d->max_degree)});
     result.rows.push_back(
-        {"powerlaw_slope", StrFormat("%.6f", d.powerlaw_slope)});
+        {"mean_degree", StrFormat("%.6f", d->mean_degree)});
+    result.rows.push_back(
+        {"powerlaw_slope", StrFormat("%.6f", d->powerlaw_slope)});
     result.rows.push_back(
         {"distinct_degrees",
-         StrFormat("%llu", static_cast<unsigned long long>(d.count.size()))});
-  };
-  auto emit_components = [&](const mining::ComponentResult& c) {
+         StrFormat("%llu",
+                   static_cast<unsigned long long>(d->count.size()))});
+  } else {
+    const auto& c = std::get<mining::ComponentResult>(mined.value);
     result.columns = {"component", "size"};
-    const uint32_t n =
-        std::min<uint32_t>(c.num_components, plan.top);
+    const uint32_t n = std::min<uint32_t>(c.num_components, plan.top);
     for (uint32_t i = 0; i < n; ++i) {
       result.rows.push_back(
           {StrFormat("%u", i), StrFormat("%u", c.sizes[i])});
     }
-  };
-
-  std::unique_ptr<storage::PageScan> scan = store_->NewPageScan();
-  bool pages_ok = true;
-  if (plan.kernel == Kernel::kPagerank) {
-    mining::PageRankOverPagesOptions options;
-    options.context = context;
-    auto r = mining::PageRankOverPages(*scan, options);
-    if (r.ok()) {
-      emit_pagerank(r.value());
-    } else if (r.status().IsNotSupported()) {
-      pages_ok = false;
-    } else {
-      return r.status();
-    }
-  } else if (plan.kernel == Kernel::kDegrees) {
-    auto r = mining::DegreeDistributionOverPages(*scan, context);
-    if (r.ok()) {
-      emit_degrees(r.value());
-    } else if (r.status().IsNotSupported()) {
-      pages_ok = false;
-    } else {
-      return r.status();
-    }
-  } else {
-    auto r = mining::WeakComponentsOverPages(*scan, context);
-    if (r.ok()) {
-      emit_components(r.value());
-    } else if (r.status().IsNotSupported()) {
-      pages_ok = false;
-    } else {
-      return r.status();
-    }
-  }
-
-  if (!pages_ok) {
-    GMINE_ASSIGN_OR_RETURN(const graph::Graph* g, FullGraph());
-    if (plan.kernel == Kernel::kPagerank) {
-      mining::PageRankOptions options;
-      options.context.threads = options_.threads;
-      emit_pagerank(mining::ComputePageRank(*g, options));
-    } else if (plan.kernel == Kernel::kDegrees) {
-      emit_degrees(mining::ComputeDegreeDistribution(*g));
-    } else {
-      emit_components(mining::WeakComponents(*g));
-    }
   }
   result.stats.rows_output = result.rows.size();
   return result;
+}
+
+const char* MineEngine(const gtree::GTreeStore& store) {
+  return store.streamed() ? "pages" : "in-memory";
+}
+
+gmine::Result<MineResult> MineStore(
+    const gtree::GTreeStore& store, ast::MineStatement::Kernel kernel,
+    const mining::PageRankOverPagesOptions& options) {
+  using Kernel = ast::MineStatement::Kernel;
+  const mining::KernelContext& context = options.context;
+  MineResult out;
+  out.engine = MineEngine(store);
+  if (store.streamed()) {
+    std::unique_ptr<storage::PageScan> scan = store.NewPageScan();
+    if (kernel == Kernel::kPagerank) {
+      GMINE_ASSIGN_OR_RETURN(out.value,
+                             mining::PageRankOverPages(*scan, options));
+    } else if (kernel == Kernel::kDegrees) {
+      GMINE_ASSIGN_OR_RETURN(
+          out.value, mining::DegreeDistributionOverPages(*scan, context));
+    } else {
+      GMINE_ASSIGN_OR_RETURN(
+          out.value, mining::WeakComponentsOverPages(*scan, context));
+    }
+    return out;
+  }
+  GMINE_ASSIGN_OR_RETURN(std::shared_ptr<const graph::Graph> g,
+                         store.FullGraph());
+  if (context.IsCancelled()) return Status::Aborted("mining cancelled");
+  if (kernel == Kernel::kPagerank) {
+    mining::PageRankOptions pr;
+    pr.damping = options.damping;
+    pr.tolerance = options.tolerance;
+    pr.max_iterations = options.max_iterations;
+    pr.weighted = options.weighted;
+    pr.context = context;
+    out.value = mining::ComputePageRank(*g, pr);
+  } else if (kernel == Kernel::kDegrees) {
+    out.value = mining::ComputeDegreeDistribution(*g);
+  } else {
+    out.value = mining::WeakComponents(*g);
+  }
+  if (context.IsCancelled()) return Status::Aborted("mining cancelled");
+  return out;
 }
 
 std::string ResultToText(const QueryResult& result) {

@@ -25,15 +25,16 @@
 #define GMINE_QUERY_EXECUTOR_H_
 
 #include <cstdint>
-#include <functional>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
-#include "graph/graph.h"
 #include "gtree/store.h"
+#include "mining/components.h"
+#include "mining/degree.h"
+#include "mining/pagerank.h"
+#include "mining/pagescan_kernels.h"
 #include "query/plan.h"
 #include "util/status.h"
 
@@ -67,19 +68,13 @@ struct ExecutorOptions {
 };
 
 /// Executes plans against one store. Const and safe from any number of
-/// threads (the store's read surface is; the lazy full-graph fallback
-/// is mutex-guarded).
+/// threads (the store's read surface is). Holds no state of its own, so
+/// constructing one per query is free: EXTRACT reads the store's shared
+/// full graph (GTreeStore::FullGraph).
 class Executor {
  public:
-  /// Shared full-graph provider (EXTRACT CSG needs the whole graph).
-  /// The returned pointer must stay valid for the executor's lifetime.
-  using FullGraphFn =
-      std::function<gmine::Result<const graph::Graph*>()>;
-
-  /// `store` must outlive the executor. `full_graph` may be null: the
-  /// executor then loads (and keeps) its own copy on first EXTRACT.
+  /// `store` must outlive the executor.
   explicit Executor(const gtree::GTreeStore* store,
-                    FullGraphFn full_graph = nullptr,
                     ExecutorOptions options = {});
 
   /// Runs a plan built by PlanStatement. EXPLAIN plans return the
@@ -102,15 +97,35 @@ class Executor {
   gmine::Result<QueryResult> ExecuteSummarize(
       const SummarizePlan& plan) const;
   gmine::Result<QueryResult> ExecuteMine(const MinePlan& plan) const;
-  gmine::Result<const graph::Graph*> FullGraph() const;
 
   const gtree::GTreeStore* store_;
-  FullGraphFn full_graph_fn_;
   ExecutorOptions options_;
-  /// Lazy fallback graph when no FullGraphFn was supplied.
-  mutable std::mutex graph_mu_;
-  mutable std::optional<graph::Graph> owned_graph_;
 };
+
+/// What MineStore ran: the engine tag and the result of the requested
+/// kernel (the matching variant alternative).
+struct MineResult {
+  /// MineEngine() of the store.
+  const char* engine = "";
+  std::variant<mining::PageRankResult, mining::DegreeDistribution,
+               mining::ComponentResult>
+      value;
+};
+
+/// The engine MineStore picks for `store`: "pages" when the store is
+/// streamed (complete per-page adjacency), "in-memory" otherwise.
+const char* MineEngine(const gtree::GTreeStore& store);
+
+/// Runs one whole-store mining kernel — GQL MINE, the gateway's mine
+/// jobs and `gmine mine` all come through here (docs/OUTOFCORE.md).
+/// Streamed stores run the page kernels over a fresh NewPageScan(),
+/// where `options` applies whole: checkpoint, resume, progress,
+/// cancellation. Any other store runs the in-memory kernel over the
+/// store's shared FullGraph() with the same PageRank parameters and
+/// threads; cancellation is checked before and after it (Aborted).
+gmine::Result<MineResult> MineStore(
+    const gtree::GTreeStore& store, ast::MineStatement::Kernel kernel,
+    const mining::PageRankOverPagesOptions& options = {});
 
 /// Pipe-separated table: one header line, one line per row.
 std::string ResultToText(const QueryResult& result);

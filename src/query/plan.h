@@ -6,11 +6,12 @@
 //                         ComputePageRank (only when the statement
 //                         mentions pagerank)
 //   MATCH NEIGHBORS    -> LoadLeaf(origin) + mining::BfsDistances
-//   EXTRACT CSG        -> LoadFullGraph + csg::ExtractConnectionSubgraph
+//   EXTRACT CSG        -> GTreeStore::FullGraph (shared) +
+//                         csg::ExtractConnectionSubgraph
 //   SUMMARIZE NODE     -> LoadLeaf + tree path (details on demand)
-//   MINE kernel        -> page-at-a-time kernels over NewPageScan when
-//                         the store carries boundary adjacency, else
-//                         the in-memory kernels over the full graph
+//   MINE kernel        -> query::MineStore: page-at-a-time kernels over
+//                         NewPageScan on streamed stores, else the
+//                         in-memory kernels over the store's FullGraph
 //
 // The planner does every semantic check so the executor can assume a
 // well-typed plan: comparison operand types per field, node-reference

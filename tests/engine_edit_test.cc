@@ -106,6 +106,38 @@ TEST(EngineEditTest, RemoveNodeRemapsLabels) {
   EXPECT_EQ((*g.value()).num_nodes(), n_before - 1);
 }
 
+TEST(EngineEditTest, FullGraphIsTheStoresSharedGraph) {
+  // The engine keeps no graph of its own: after an edit on the append
+  // path and one on the compaction path, full_graph() is the store's
+  // one shared copy, and it already shows the edit.
+  Fixture f = Make("sharedgraph");
+  const uint32_t n = f.dblp.graph.num_nodes();
+  const graph::NodeId han = f.dblp.jiawei_han;
+  auto expect_shared = [&](uint32_t nodes, const char* context) {
+    SCOPED_TRACE(context);
+    auto engine_g = f.engine->full_graph();
+    auto store_g = f.engine->store().FullGraph();
+    ASSERT_TRUE(engine_g.ok() && store_g.ok());
+    EXPECT_EQ(engine_g.value().get(), store_g.value().get());
+    EXPECT_EQ(store_g.value()->num_nodes(), nodes);
+  };
+
+  graph::GraphEdit add(n);
+  const graph::NodeId nv = add.AddNode();
+  add.AddEdge(nv, han, 2.0f);
+  EditStats stats;
+  ASSERT_TRUE(f.engine->ApplyEdit(add, {}, &stats).ok());
+  EXPECT_FALSE(stats.compacted);
+  expect_shared(n + 1, "append path");
+  EXPECT_TRUE(f.engine->full_graph().value()->HasEdge(nv, han));
+
+  graph::GraphEdit remove(n + 1);
+  remove.RemoveNode(nv);
+  ASSERT_TRUE(f.engine->ApplyEdit(remove, {}, &stats).ok());
+  EXPECT_TRUE(stats.compacted);
+  expect_shared(n, "compaction path");
+}
+
 TEST(EngineEditTest, SessionResetsToRootAfterEdit) {
   Fixture f = Make("sessionreset");
   ASSERT_TRUE(f.engine->session().FocusChild(0).ok());

@@ -75,7 +75,7 @@ void ExpectEquivalent(GMineEngine& engine, const graph::Graph& expected_g,
 
   // The store's full graph (base section + journal replay) must equal
   // the shadow graph maintained through GraphEdit::Apply alone.
-  auto loaded = store.LoadFullGraph();
+  auto loaded = store.MaterializeFullGraph();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded.value() == expected_g) << "journal replay diverged";
 
@@ -206,6 +206,24 @@ TEST(EditRepairTest, CrossLeafEdgeTouchesOnlyConnectivity) {
   auto g = f.engine->full_graph();
   ASSERT_TRUE(g.ok());
   ExpectEquivalent(*f.engine, *g.value(), "after cross edge");
+}
+
+TEST(EditRepairTest, AppendPathUpdatesTheStoreNodeCount) {
+  // A vertex added on the append path shows in the store's node count
+  // and the page scan's right away, not only after a reopen or a
+  // compaction.
+  Fixture f = Make("append_count", SmallBuild());
+  const uint32_t n = f.dblp.graph.num_nodes();
+  ASSERT_EQ(f.engine->store().num_graph_nodes(), n);
+  GraphEdit edit(n);
+  const NodeId nv = edit.AddNode();
+  edit.AddEdge(nv, f.dblp.jiawei_han, 2.0f);
+  EditStats stats;
+  ASSERT_TRUE(f.engine->ApplyEdit(edit, {}, &stats).ok());
+  ASSERT_FALSE(stats.compacted);
+  ASSERT_EQ(stats.journal_ops, 1u);
+  EXPECT_EQ(f.engine->store().num_graph_nodes(), n + 1);
+  EXPECT_EQ(f.engine->store().NewPageScan()->num_nodes(), n + 1);
 }
 
 TEST(EditRepairTest, IntraLeafEdgeRewritesOnePage) {

@@ -212,18 +212,24 @@ TEST(NetServerTest, FourConcurrentClientsDeterministicTranscripts) {
             "focus=s000 display=4|focus=s001 display=7|"
             "focus=s001 depth=1 children=3 display=7 path=s000/s001");
 
-  // Every client's disconnect released its session; overlapping leaves
-  // produced cross-session cache reuse.
+  // Cross-session cache reuse, deterministically: clients 0 and 2 may
+  // both miss on s002 if they load it at the same instant, but once
+  // they are done the page is resident, so a fifth session's load of
+  // it is always a hit on a page another session paid for.
+  EXPECT_EQ(DriveClient(server.port(), {"focus s002", "load"}),
+            "focus=s002 display=7|leaf=s002 n=22 e=62");
+  EXPECT_GT(f.store->stats().shared_hits, 0u);
+
+  // Every client's disconnect released its session.
   server.Stop();
   EXPECT_EQ(pool.size(), 0u);
   const core::SessionPoolStats pstats = pool.stats();
-  EXPECT_EQ(pstats.opened, 4u);
-  EXPECT_EQ(pstats.closed, 4u);
+  EXPECT_EQ(pstats.opened, 5u);
+  EXPECT_EQ(pstats.closed, 5u);
   const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.accepted, 4u);
-  EXPECT_EQ(stats.closed, 4u);
-  EXPECT_EQ(stats.requests, 20u);
-  EXPECT_GT(f.store->stats().shared_hits, 0u);
+  EXPECT_EQ(stats.accepted, 5u);
+  EXPECT_EQ(stats.closed, 5u);
+  EXPECT_EQ(stats.requests, 22u);
 }
 
 /// Full-fidelity transcript of one connection (request echo, response

@@ -240,8 +240,8 @@ TEST(QueryDifferentialTest, ThreadCountNeverChangesResults) {
   serial.threads = 1;
   ExecutorOptions parallel;
   parallel.threads = 4;
-  Executor one(f.store.get(), nullptr, serial);
-  Executor four(f.store.get(), nullptr, parallel);
+  Executor one(f.store.get(), serial);
+  Executor four(f.store.get(), parallel);
 
   const char* kQueries[] = {
       "MATCH NODES WHERE pagerank > 0.005 ORDER BY pagerank DESC",
@@ -384,8 +384,8 @@ TEST(QueryDifferentialTest, PushdownScansStrictlyFewerPagesSameRows) {
   on.pushdown = true;
   ExecutorOptions off;
   off.pushdown = false;
-  Executor pushdown(f.store.get(), nullptr, on);
-  Executor materialize(f.store.get(), nullptr, off);
+  Executor pushdown(f.store.get(), on);
+  Executor materialize(f.store.get(), off);
 
   // One leaf community name, for a maximally selective predicate.
   std::string leaf_name;

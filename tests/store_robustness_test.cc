@@ -59,7 +59,7 @@ bool FullyReadable(const std::string& bytes, const char* name) {
       if (!tn.IsLeaf()) continue;
       if (!store.value()->LoadLeaf(tn.id).ok()) ok = false;
     }
-    if (!store.value()->LoadFullGraph().ok()) ok = false;
+    if (!store.value()->MaterializeFullGraph().ok()) ok = false;
   }
   std::remove(path.c_str());
   return ok;

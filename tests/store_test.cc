@@ -223,7 +223,7 @@ TEST(StoreTest, LoadFullGraphMatchesOriginal) {
       GTreeStore::Create(f.path, f.graph, f.tree, f.conn, f.labels).ok());
   auto store = GTreeStore::Open(f.path);
   ASSERT_TRUE(store.ok());
-  auto g = store.value()->LoadFullGraph();
+  auto g = store.value()->MaterializeFullGraph();
   ASSERT_TRUE(g.ok()) << g.status().ToString();
   EXPECT_TRUE(g.value() == f.graph);
   std::remove(f.path.c_str());
@@ -291,7 +291,7 @@ TEST(StoreTest, CorruptLeafPageDetectedOnLoad) {
     if (!tn.IsLeaf()) continue;
     if (!store.value()->LoadLeaf(tn.id).ok()) any_failure = true;
   }
-  if (!store.value()->LoadFullGraph().ok()) any_failure = true;
+  if (!store.value()->MaterializeFullGraph().ok()) any_failure = true;
   EXPECT_TRUE(any_failure);
   std::remove(f.path.c_str());
 }
@@ -364,7 +364,7 @@ TEST_P(StoreRoundTripSweep, AllLeavesFaithful) {
     ASSERT_TRUE(direct.ok());
     EXPECT_TRUE(payload.value()->subgraph.graph == direct.value().graph);
   }
-  auto full = store.value()->LoadFullGraph();
+  auto full = store.value()->MaterializeFullGraph();
   ASSERT_TRUE(full.ok());
   EXPECT_TRUE(full.value() == g);
   std::remove(path.c_str());

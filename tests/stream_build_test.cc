@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gen/generators.h"
@@ -16,6 +17,8 @@
 #include "mining/degree.h"
 #include "mining/pagerank.h"
 #include "mining/pagescan_kernels.h"
+#include "query/executor.h"
+#include "storage/buffer_pool.h"
 #include "storage/page_scan.h"
 #include "util/string_util.h"
 
@@ -203,6 +206,132 @@ TEST(StreamBuildTest, LegacyStorePageKernelsReportNotSupported) {
   auto pr = mining::PageRankOverPages(*scan);
   ASSERT_FALSE(pr.ok());
   EXPECT_TRUE(pr.status().IsNotSupported()) << pr.status().ToString();
+  Cleanup(f);
+}
+
+TEST(StreamBuildTest, ExtractMaterializesTheGraphOncePerStoreState) {
+  // A 1-byte private pool caches nothing, so leaf_loads counts every
+  // page read. Two executors over one store share the store's full
+  // graph: only the first EXTRACT reads pages to build it.
+  Fixture f = MakeFixture("sb_extract_once");
+  StreamBuildOptions build;
+  build.leaf_size = 64;  // many pages
+  ASSERT_TRUE(
+      StreamBuildStore(f.edges_path, f.store_path, {}, build, nullptr).ok());
+  storage::BufferPool pool(
+      storage::BufferPoolOptions{.budget_bytes = 1, .shards = 1});
+  GTreeStoreOptions options;
+  options.buffer_pool = &pool;
+  auto store = GTreeStore::Open(f.store_path, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const char* kExtract = "EXTRACT CSG FROM {0, 1} BUDGET 12";
+
+  auto first = query::Executor(store.value().get()).ExecuteText(kExtract);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const uint64_t loads = store.value()->stats().leaf_loads;
+  EXPECT_GT(loads, 0u);
+
+  auto second = query::Executor(store.value().get()).ExecuteText(kExtract);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(store.value()->stats().leaf_loads, loads);
+  EXPECT_EQ(second.value().rows, first.value().rows);
+  Cleanup(f);
+}
+
+TEST(StreamBuildTest, RacingFirstCallersShareOneFullGraphBuild) {
+  // FullGraph() builds under one mutex: four threads racing the first
+  // call get the same copy, and the store reads its pages for one build
+  // only — as many loads as one MaterializeFullGraph() (1-byte pool, so
+  // every page read counts).
+  Fixture f = MakeFixture("sb_full_graph_race");
+  StreamBuildOptions build;
+  build.leaf_size = 64;  // many pages
+  ASSERT_TRUE(
+      StreamBuildStore(f.edges_path, f.store_path, {}, build, nullptr).ok());
+  storage::BufferPool pool(
+      storage::BufferPoolOptions{.budget_bytes = 1, .shards = 1});
+  GTreeStoreOptions options;
+  options.buffer_pool = &pool;
+  auto store = GTreeStore::Open(f.store_path, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE(store.value()->MaterializeFullGraph().ok());
+  const uint64_t one_build = store.value()->stats().leaf_loads;
+
+  std::vector<std::shared_ptr<const Graph>> seen(4);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < seen.size(); ++i) {
+    threads.emplace_back([&, i] {
+      auto g = store.value()->FullGraph();
+      if (g.ok()) seen[i] = g.value();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_NE(seen[0], nullptr);
+  for (const auto& g : seen) EXPECT_EQ(g, seen[0]);
+  EXPECT_TRUE(*seen[0] == f.reference);
+  EXPECT_EQ(store.value()->stats().leaf_loads, 2 * one_build);
+  Cleanup(f);
+}
+
+TEST(StreamBuildTest, MineStoreAgreesAcrossStoreFormats) {
+  // One graph, both formats: the dispatcher runs the page kernels on the
+  // streamed store and the in-memory kernels on the legacy one, and the
+  // answers agree (PageRank up to summation order).
+  Fixture f = MakeFixture("sb_mine_store");
+  ASSERT_TRUE(StreamBuildStore(f.edges_path, f.store_path, {}, {}, nullptr)
+                  .ok());
+  const std::string legacy_path = f.store_path + ".legacy";
+  GTreeBuildOptions bopts;
+  bopts.levels = 2;
+  bopts.fanout = 3;
+  auto tree = BuildGTree(f.reference, bopts);
+  ASSERT_TRUE(tree.ok());
+  auto conn = ConnectivityIndex::Build(f.reference, tree.value());
+  ASSERT_TRUE(GTreeStore::Create(legacy_path, f.reference, tree.value(),
+                                 conn, {})
+                  .ok());
+  auto streamed = GTreeStore::Open(f.store_path);
+  auto legacy = GTreeStore::Open(legacy_path);
+  ASSERT_TRUE(streamed.ok() && legacy.ok());
+  using Kernel = query::ast::MineStatement::Kernel;
+
+  auto deg_pages = query::MineStore(*streamed.value(), Kernel::kDegrees);
+  auto deg_mem = query::MineStore(*legacy.value(), Kernel::kDegrees);
+  ASSERT_TRUE(deg_pages.ok() && deg_mem.ok());
+  EXPECT_STREQ(deg_pages.value().engine, "pages");
+  EXPECT_STREQ(deg_mem.value().engine, "in-memory");
+  const auto& dp =
+      std::get<mining::DegreeDistribution>(deg_pages.value().value);
+  const auto& dm =
+      std::get<mining::DegreeDistribution>(deg_mem.value().value);
+  EXPECT_EQ(dp.count, dm.count);
+  EXPECT_EQ(dp.min_degree, dm.min_degree);
+  EXPECT_EQ(dp.max_degree, dm.max_degree);
+
+  auto comp_pages = query::MineStore(*streamed.value(), Kernel::kComponents);
+  auto comp_mem = query::MineStore(*legacy.value(), Kernel::kComponents);
+  ASSERT_TRUE(comp_pages.ok() && comp_mem.ok());
+  EXPECT_STREQ(comp_pages.value().engine, "pages");
+  EXPECT_STREQ(comp_mem.value().engine, "in-memory");
+  const auto& cp = std::get<mining::ComponentResult>(comp_pages.value().value);
+  const auto& cm = std::get<mining::ComponentResult>(comp_mem.value().value);
+  EXPECT_EQ(cp.num_components, cm.num_components);
+  EXPECT_EQ(cp.component, cm.component);
+  EXPECT_EQ(cp.sizes, cm.sizes);
+
+  auto pr_pages = query::MineStore(*streamed.value(), Kernel::kPagerank);
+  auto pr_mem = query::MineStore(*legacy.value(), Kernel::kPagerank);
+  ASSERT_TRUE(pr_pages.ok() && pr_mem.ok());
+  EXPECT_STREQ(pr_pages.value().engine, "pages");
+  EXPECT_STREQ(pr_mem.value().engine, "in-memory");
+  const auto& pp = std::get<mining::PageRankResult>(pr_pages.value().value);
+  const auto& pm = std::get<mining::PageRankResult>(pr_mem.value().value);
+  const std::vector<graph::NodeId> top = mining::TopKByScore(pm.score, 10);
+  EXPECT_EQ(mining::TopKByScore(pp.score, 10), top);
+  for (graph::NodeId v : top) {
+    EXPECT_NEAR(pp.score[v], pm.score[v], 1e-7) << "node " << v;
+  }
+  std::remove(legacy_path.c_str());
   Cleanup(f);
 }
 
