@@ -269,7 +269,7 @@ std::vector<SessionInfo> SessionManager::ListSessions() const {
       // rows report identity and idle time only.
       std::lock_guard<std::mutex> session_lock(entry->mu);
       info.focus = entry->session->focus();
-      info.interactions = entry->session->history().size();
+      info.interactions = entry->session->interactions();
     }
     out.push_back(info);
   }

@@ -80,7 +80,7 @@ struct SessionManagerOptions {
 struct SessionInfo {
   SessionId id = 0;
   gtree::TreeNodeId focus = gtree::kInvalidTreeNode;
-  size_t interactions = 0;     // recorded InteractionEvents so far
+  size_t interactions = 0;     // gestures recorded over its lifetime
   int64_t idle_micros = 0;     // time since the last WithSession
   bool pinned = false;
 };

@@ -14,8 +14,13 @@ NavigationSession::NavigationSession(const GTreeStore* store,
 }
 
 void NavigationSession::Record(std::string op, int64_t micros) {
+  if (events_.size() == kMaxHistory) {
+    // Drop the older half at once: appends stay amortized O(1).
+    events_.erase(events_.begin(), events_.begin() + kMaxHistory / 2);
+  }
   events_.push_back(InteractionEvent{std::move(op), micros,
                                      context_.DisplaySize(), focus_});
+  ++interactions_;
 }
 
 Status NavigationSession::SetFocus(TreeNodeId id, const char* op,

@@ -6,7 +6,8 @@
 // Every user gesture is an API call here; each call records an
 // InteractionEvent with its latency and resulting display-set size —
 // the raw data behind bench_navigation (Fig. 3) and bench_tomahawk
-// (Fig. 4).
+// (Fig. 4). A session keeps only its most recent events, so a
+// long-lived server session's history stays bounded.
 
 #ifndef GMINE_GTREE_NAVIGATION_H_
 #define GMINE_GTREE_NAVIGATION_H_
@@ -108,8 +109,15 @@ class NavigationSession {
   /// Resets zoom and pan; recorded as "reset_view".
   void ResetView();
 
-  /// All recorded interactions, oldest first.
+  /// Most events history() retains; older ones are dropped in bulk.
+  static constexpr size_t kMaxHistory = 1024;
+
+  /// The most recent interactions (at most kMaxHistory), oldest first.
   const std::vector<InteractionEvent>& history() const { return events_; }
+
+  /// Interactions recorded over the session's lifetime, dropped ones
+  /// included.
+  uint64_t interactions() const { return interactions_; }
 
   /// Underlying store (for rendering and stats).
   const GTreeStore* store() const { return store_; }
@@ -130,6 +138,7 @@ class NavigationSession {
   ViewState view_;
   std::vector<TreeNodeId> back_stack_;
   std::vector<InteractionEvent> events_;
+  uint64_t interactions_ = 0;
 };
 
 }  // namespace gmine::gtree

@@ -75,6 +75,16 @@ gmine::Result<HttpClientResponse> GatewayClient::Request(
     const std::string& token, const std::string& body,
     const std::vector<std::pair<std::string, std::string>>&
         extra_headers) {
+  GMINE_RETURN_IF_ERROR(
+      SendRequest(method, target, token, body, extra_headers));
+  return ReadResponse();
+}
+
+Status GatewayClient::SendRequest(
+    const std::string& method, const std::string& target,
+    const std::string& token, const std::string& body,
+    const std::vector<std::pair<std::string, std::string>>&
+        extra_headers) {
   std::string wire = method + " " + target + " HTTP/1.1\r\n";
   wire += "Host: localhost\r\n";
   if (!token.empty()) wire += "Authorization: Bearer " + token + "\r\n";
@@ -86,10 +96,13 @@ gmine::Result<HttpClientResponse> GatewayClient::Request(
   }
   wire += "\r\n";
   wire += body;
-  GMINE_RETURN_IF_ERROR(sock_.WriteAll(wire));
+  return sock_.WriteAll(wire);
+}
 
+gmine::Result<HttpClientResponse> GatewayClient::ReadResponse(
+    int timeout_ms) {
   GMINE_ASSIGN_OR_RETURN(std::string head,
-                         ReadUntil("\r\n\r\n", /*timeout_ms=*/5000));
+                         ReadUntil("\r\n\r\n", timeout_ms));
   HttpClientResponse response;
   // Status line: HTTP/1.1 NNN reason
   const size_t sp = head.find(' ');
@@ -118,7 +131,7 @@ gmine::Result<HttpClientResponse> GatewayClient::Request(
       return Status::Corruption("http client: bad Content-Length");
     }
     GMINE_RETURN_IF_ERROR(
-        ReadExact(static_cast<size_t>(n), &response.body, 10000));
+        ReadExact(static_cast<size_t>(n), &response.body, timeout_ms));
   }
   return response;
 }

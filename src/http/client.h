@@ -49,6 +49,15 @@ class GatewayClient {
       const std::vector<std::pair<std::string, std::string>>&
           extra_headers = {});
 
+  /// Request's two halves, for pipelining: send without reading, and
+  /// read the next response.
+  Status SendRequest(const std::string& method, const std::string& target,
+                     const std::string& token = {},
+                     const std::string& body = {},
+                     const std::vector<std::pair<std::string, std::string>>&
+                         extra_headers = {});
+  gmine::Result<HttpClientResponse> ReadResponse(int timeout_ms = 5000);
+
   /// Performs the RFC 6455 handshake on `target`. After success the
   /// connection speaks frames; Request() is no longer valid.
   Status UpgradeWebSocket(const std::string& target,

@@ -1,5 +1,6 @@
 #include "http/gateway.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <utility>
@@ -7,8 +8,8 @@
 #include "core/views.h"
 #include "net/session_ops.h"
 #include "query/executor.h"
+#include "util/parallel.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace gmine::http {
 
@@ -102,7 +103,12 @@ std::string JobJson(const MineJobInfo& info) {
 }  // namespace
 
 Gateway::Gateway(core::Catalog* catalog, GatewayOptions options)
-    : catalog_(catalog), options_(std::move(options)), jobs_(catalog) {
+    : catalog_(catalog),
+      options_(std::move(options)),
+      // At least two workers, so one long mine job cannot hold the
+      // only one.
+      pool_(std::max(2, MaxParallelism())),
+      jobs_(catalog, &pool_) {
   if (options_.reactor_threads < 1) options_.reactor_threads = 1;
 }
 
@@ -118,7 +124,7 @@ Status Gateway::Start() {
   ropts.poll_interval_ms = options_.poll_interval_ms;
   Reactor::Callbacks callbacks;
   callbacks.on_data = [this](ConnId id, std::string_view data) {
-    OnData(id, data);
+    return OnData(id, data);
   };
   callbacks.on_closed = [this](ConnId id) { OnClosed(id); };
   reactor_ = std::make_unique<Reactor>(ropts, std::move(callbacks));
@@ -152,7 +158,7 @@ void Gateway::AcceptLoop() {
   }
 }
 
-void Gateway::OnData(ConnId id, std::string_view data) {
+bool Gateway::OnData(ConnId id, std::string_view data) {
   std::shared_ptr<GwConn> conn;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
@@ -166,7 +172,7 @@ void Gateway::OnData(ConnId id, std::string_view data) {
   }
   if (conn->is_ws.load(std::memory_order_acquire)) {
     ServeWs(conn, data);
-    return;
+    return true;
   }
   if (!conn->http.Feed(data).ok()) {
     HttpResponse bad;
@@ -176,36 +182,67 @@ void Gateway::OnData(ConnId id, std::string_view data) {
     bad.body = "{\"error\":\"malformed HTTP request\"}\n";
     (void)reactor_->Send(id, EncodeResponse(bad));
     reactor_->Close(id);
-    return;
+    return true;
   }
+  return ServeQueued(conn);
+}
+
+bool Gateway::ServeQueued(const std::shared_ptr<GwConn>& conn) {
   while (conn->http.HasRequest()) {
-    const HttpRequest request = conn->http.TakeRequest();
-    ServeHttp(conn, request);
+    if (!ServeHttp(conn, conn->http.TakeRequest())) return false;
     if (conn->is_ws.load(std::memory_order_acquire)) {
       // Bytes pipelined behind the upgrade belong to the frame layer.
       const std::string leftover = conn->http.TakeBuffered();
       if (!leftover.empty()) ServeWs(conn, leftover);
-      return;
+      return true;
     }
   }
+  return true;
 }
 
-void Gateway::ServeHttp(const std::shared_ptr<GwConn>& conn,
-                        const HttpRequest& request) {
+bool Gateway::ServeHttp(const std::shared_ptr<GwConn>& conn,
+                        HttpRequest request) {
   StopWatch watch;
   requests_.fetch_add(1, std::memory_order_relaxed);
+  const bool keep_alive = request.keep_alive;
   HttpResponse response;
   Endpoint endpoint = kEpOther;
-  bool upgraded = false;
-  Route(conn, request, &response, &endpoint, &upgraded);
-  if (upgraded) {
-    Observe(kEpUpgrade, watch.ElapsedMicros(), /*error=*/false);
-    return;
+  switch (Route(conn, request, &response, &endpoint)) {
+    case Routed::kUpgraded:
+      Observe(kEpUpgrade, watch.ElapsedMicros(), /*error=*/false);
+      return true;
+    case Routed::kToPool: {
+      // The worker answers, then hands the connection back to its loop,
+      // which serves the requests pipelined behind this one.
+      const bool submitted = pool_.Submit(
+          [this, conn, request = std::move(request), watch] {
+            HttpResponse reply;
+            Endpoint served = kEpOther;
+            ServeStore(request, &reply, &served);
+            if (Reply(conn->id, request.keep_alive, watch, served, &reply)) {
+              reactor_->Resume(conn->id,
+                               [this, conn] { return ServeQueued(conn); });
+            }
+          });
+      if (submitted) return false;
+      response.status = 503;  // the pool is draining
+      response.content_type = "application/json";
+      response.body = "{\"error\":\"gateway shutting down\"}\n";
+      break;
+    }
+    case Routed::kAnswered:
+      break;
   }
-  response.keep_alive = request.keep_alive && response.status != 503;
-  (void)reactor_->Send(conn->id, EncodeResponse(response));
-  if (!response.keep_alive) reactor_->Close(conn->id);
-  Observe(endpoint, watch.ElapsedMicros(), response.status >= 400);
+  return Reply(conn->id, keep_alive, watch, endpoint, &response);
+}
+
+bool Gateway::Reply(ConnId id, bool keep_alive, const StopWatch& watch,
+                    Endpoint endpoint, HttpResponse* response) {
+  response->keep_alive = keep_alive && response->status != 503;
+  (void)reactor_->Send(id, EncodeResponse(*response));
+  if (!response->keep_alive) reactor_->Close(id);
+  Observe(endpoint, watch.ElapsedMicros(), response->status >= 400);
+  return response->keep_alive;
 }
 
 bool Gateway::Authorized(const HttpRequest& request) const {
@@ -220,25 +257,25 @@ bool Gateway::Authorized(const HttpRequest& request) const {
                      options_.bearer_token);
 }
 
-void Gateway::Route(const std::shared_ptr<GwConn>& conn,
-                    const HttpRequest& request, HttpResponse* response,
-                    Endpoint* endpoint, bool* upgraded) {
+Gateway::Routed Gateway::Route(const std::shared_ptr<GwConn>& conn,
+                               const HttpRequest& request,
+                               HttpResponse* response, Endpoint* endpoint) {
   const std::string& path = request.path;
 
   if (path == "/stats") {
     *endpoint = kEpStats;
     if (request.method != "GET") {
       FillError(Status::NotSupported("use GET"), response);
-      return;
+      return Routed::kAnswered;
     }
     response->content_type = "application/json";
     response->body = StatsJson();
-    return;
+    return Routed::kAnswered;
   }
 
   if (path.rfind("/api/", 0) != 0) {
     FillError(Status::NotFound("no such endpoint"), response);
-    return;
+    return Routed::kAnswered;
   }
 
   if (!Authorized(request)) {
@@ -246,19 +283,19 @@ void Gateway::Route(const std::shared_ptr<GwConn>& conn,
     response->content_type = "application/json";
     response->extra_headers.emplace_back("WWW-Authenticate", "Bearer");
     response->body = "{\"error\":\"missing or bad bearer token\"}\n";
-    return;
+    return Routed::kAnswered;
   }
 
   if (path == "/api/v1/shutdown") {
     if (request.method != "POST") {
       FillError(Status::NotSupported("use POST"), response);
-      return;
+      return Routed::kAnswered;
     }
     response->content_type = "application/json";
     response->body = "{\"ok\":true,\"text\":\"shutting down\"}\n";
     response->keep_alive = false;
     RequestShutdown();
-    return;
+    return Routed::kAnswered;
   }
 
   if (path.rfind("/api/v1/jobs/", 0) == 0) {
@@ -267,41 +304,42 @@ void Gateway::Route(const std::shared_ptr<GwConn>& conn,
     if (!ParseUint64(path.substr(strlen("/api/v1/jobs/")), &job_id)) {
       FillError(Status::InvalidArgument("job id must be an integer"),
                 response);
-      return;
+      return Routed::kAnswered;
     }
     if (request.method == "GET") {
       auto info = jobs_.Get(job_id);
       if (!info.ok()) {
         FillError(info.status(), response);
-        return;
+        return Routed::kAnswered;
       }
       response->content_type = "application/json";
       response->body = JobJson(info.value());
-      return;
+      return Routed::kAnswered;
     }
     if (request.method == "DELETE") {
       bool removed = false;
       auto info = jobs_.Cancel(job_id, &removed);
       if (!info.ok()) {
         FillError(info.status(), response);
-        return;
+        return Routed::kAnswered;
       }
-      // 202: cancellation requested, job still winding down (poll it).
-      // 200: the finished job's record was removed.
+      // 202: the job was waiting (it reads cancelled now) or running
+      // (it winds down; poll it). 200: the finished job's record was
+      // removed.
       response->status = removed ? 200 : 202;
       response->content_type = "application/json";
       response->body = JobJson(info.value());
-      return;
+      return Routed::kAnswered;
     }
     FillError(Status::NotSupported("use GET or DELETE"), response);
-    return;
+    return Routed::kAnswered;
   }
 
   if (path == "/api/v1/stores") {
     *endpoint = kEpStores;
     if (request.method != "GET") {
       FillError(Status::NotSupported("use GET"), response);
-      return;
+      return Routed::kAnswered;
     }
     std::string body = "{\"stores\":[";
     bool first = true;
@@ -316,12 +354,12 @@ void Gateway::Route(const std::shared_ptr<GwConn>& conn,
     body += "]}\n";
     response->content_type = "application/json";
     response->body = std::move(body);
-    return;
+    return Routed::kAnswered;
   }
 
   if (path.rfind("/api/v1/stores/", 0) != 0) {
     FillError(Status::NotFound("no such endpoint"), response);
-    return;
+    return Routed::kAnswered;
   }
   std::string store_name, tail;
   SplitStorePath(std::string_view(path).substr(strlen("/api/v1/stores/")),
@@ -329,15 +367,16 @@ void Gateway::Route(const std::shared_ptr<GwConn>& conn,
 
   if (tail == "ws") {
     *endpoint = kEpUpgrade;
-    HandleUpgrade(conn, request, store_name, response, upgraded);
-    return;
+    return HandleUpgrade(conn, request, store_name, response)
+               ? Routed::kUpgraded
+               : Routed::kAnswered;
   }
 
   if (tail == "mine") {
     *endpoint = kEpMine;
     if (request.method != "POST") {
       FillError(Status::NotSupported("use POST"), response);
-      return;
+      return Routed::kAnswered;
     }
     std::string kernel = "pagerank";
     uint64_t top_k = 10;
@@ -347,13 +386,13 @@ void Gateway::Route(const std::shared_ptr<GwConn>& conn,
     if (it != request.query.end() && !ParseUint64(it->second, &top_k)) {
       FillError(Status::InvalidArgument("top must be an integer"),
                 response);
-      return;
+      return Routed::kAnswered;
     }
     auto job_id = jobs_.Submit(store_name, kernel,
                                static_cast<uint32_t>(top_k));
     if (!job_id.ok()) {
       FillError(job_id.status(), response);
-      return;
+      return Routed::kAnswered;
     }
     response->status = 202;  // accepted: poll /api/v1/jobs/ID
     response->content_type = "application/json";
@@ -367,9 +406,20 @@ void Gateway::Route(const std::shared_ptr<GwConn>& conn,
         net::JsonEscape(kernel).c_str(),
         net::JsonEscape(store_name).c_str(),
         (unsigned long long)job_id.value());
-    return;
+    return Routed::kAnswered;
   }
 
+  // Store info, query, summary and render.svg lease the store: a
+  // worker runs them (ServeStore).
+  return Routed::kToPool;
+}
+
+void Gateway::ServeStore(const HttpRequest& request,
+                         HttpResponse* response, Endpoint* endpoint) {
+  std::string store_name, tail;
+  SplitStorePath(
+      std::string_view(request.path).substr(strlen("/api/v1/stores/")),
+      &store_name, &tail);
   // The REST endpoints lease a session for the request's duration:
   // the store opens lazily and closes again when the last lease goes.
   auto lease = catalog_->AcquireSession(store_name);
@@ -475,10 +525,10 @@ void Gateway::Route(const std::shared_ptr<GwConn>& conn,
   FillError(Status::NotFound("no such endpoint"), response);
 }
 
-void Gateway::HandleUpgrade(const std::shared_ptr<GwConn>& conn,
+bool Gateway::HandleUpgrade(const std::shared_ptr<GwConn>& conn,
                             const HttpRequest& request,
                             const std::string& store,
-                            HttpResponse* response, bool* upgraded) {
+                            HttpResponse* response) {
   auto header_token = [&](std::string_view name, std::string_view want) {
     // Comma-separated token list, case-insensitive match.
     std::string value = std::string(request.Header(name));
@@ -497,17 +547,17 @@ void Gateway::HandleUpgrade(const std::shared_ptr<GwConn>& conn,
     response->content_type = "application/json";
     response->extra_headers.emplace_back("Upgrade", "websocket");
     response->body = "{\"error\":\"websocket upgrade required\"}\n";
-    return;
+    return false;
   }
   if (request.Header("sec-websocket-version") != "13") {
     FillError(Status::InvalidArgument("unsupported websocket version"),
               response);
-    return;
+    return false;
   }
   auto lease = catalog_->AcquireSession(store);
   if (!lease.ok()) {
     FillError(lease.status(), response);
-    return;
+    return false;
   }
   conn->lease = std::move(lease).value();
 
@@ -521,7 +571,7 @@ void Gateway::HandleUpgrade(const std::shared_ptr<GwConn>& conn,
   (void)reactor_->Send(conn->id, wire);
   conn->is_ws.store(true, std::memory_order_release);
   upgrades_.fetch_add(1, std::memory_order_relaxed);
-  *upgraded = true;
+  return true;
 }
 
 void Gateway::ServeWs(const std::shared_ptr<GwConn>& conn,
@@ -679,9 +729,14 @@ void Gateway::WaitUntilShutdown() {
 void Gateway::Stop() {
   if (!started_.load() || stopped_) return;
   stopping_.store(true);
-  jobs_.Shutdown();  // cancel + join workers; their leases release
+  // Waiting jobs settle cancelled, running ones stop at their next
+  // cancellation check; their leases release.
+  jobs_.Shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.Close();
+  // In-flight REST requests finish and queue their replies, which the
+  // reactor flushes below; requests parsed from here on answer 503.
+  pool_.Drain();
   // Graceful drain: every live WebSocket gets a 1001 going-away close,
   // flushed by the reactor's final drain pass.
   {
@@ -718,6 +773,7 @@ void Gateway::Observe(Endpoint endpoint, int64_t micros, bool error) {
 
 std::string Gateway::StatsJson() const {
   const ReactorStats reactor = reactor_->stats();
+  const WorkerPoolStats workers = pool_.stats();
   const core::CatalogStats catalog = catalog_->stats();
   storage::BufferPool& pool = options_.buffer_pool != nullptr
                                   ? *options_.buffer_pool
@@ -734,6 +790,11 @@ std::string Gateway::StatsJson() const {
       (unsigned long long)requests_.load(),
       (unsigned long long)upgrades_.load(),
       (unsigned long long)ws_messages_.load());
+  out += StrFormat(
+      "\"workers\":{\"threads\":%zu,\"queued\":%zu,\"running\":%zu,"
+      "\"completed\":%llu},",
+      workers.threads, workers.queued, workers.running,
+      (unsigned long long)workers.completed);
   out += StrFormat(
       "\"catalog\":{\"stores\":%zu,\"open_now\":%zu,"
       "\"sessions_now\":%zu,\"opens\":%llu,\"closes\":%llu,"
@@ -767,6 +828,7 @@ std::string Gateway::StatsJson() const {
 GatewayStats Gateway::stats() const {
   GatewayStats out;
   out.reactor = reactor_ != nullptr ? reactor_->stats() : ReactorStats{};
+  out.workers = pool_.stats();
   out.requests = requests_.load();
   out.upgrades = upgrades_.load();
   out.ws_messages = ws_messages_.load();

@@ -1,10 +1,17 @@
 // The HTTP/1.1 + WebSocket gateway (docs/HTTP.md): one listener, a
-// small reactor pool, and a multi-store catalog behind it. REST
-// endpoints cover the catalog (list stores, per-store info), GQL
-// queries, summaries, SVG rendering and long-running mining jobs; a
-// WebSocket upgrade pins a catalog session to the connection and
-// carries the server line protocol's navigation ops plus `query`,
+// small reactor pool, a worker pool, and a multi-store catalog behind
+// them. REST endpoints cover the catalog (list stores, per-store
+// info), GQL queries, summaries, SVG rendering and long-running mining
+// jobs; a WebSocket upgrade pins a catalog session to the connection
+// and carries the server line protocol's navigation ops plus `query`,
 // responses JSON-framed.
+//
+// The reactor's loops parse, route, answer /stats, the catalog
+// listing, job submits, polls and deletes, upgrade, and run WebSocket
+// ops. REST requests that lease a store (info, query, summary,
+// render.svg) and mine jobs run on the worker pool. A connection stops
+// reading while its request is on a worker, so replies leave each
+// connection in request order.
 //
 // The REST surface is versioned under /api/v1/; an unversioned path
 // is an unknown path (404, or 401 first when a token is set).
@@ -47,10 +54,12 @@
 #include "http/jobs.h"
 #include "http/reactor.h"
 #include "http/websocket.h"
+#include "http/worker_pool.h"
 #include "net/protocol.h"
 #include "net/socket.h"
 #include "storage/buffer_pool.h"
 #include "util/status.h"
+#include "util/timer.h"
 
 namespace gmine::http {
 
@@ -84,6 +93,7 @@ struct EndpointStats {
 
 struct GatewayStats {
   ReactorStats reactor;
+  WorkerPoolStats workers;
   uint64_t requests = 0;      // HTTP requests served (uploads included)
   uint64_t upgrades = 0;      // successful WebSocket upgrades
   uint64_t ws_messages = 0;   // WebSocket ops executed
@@ -111,12 +121,16 @@ class Gateway {
   /// Blocks until RequestShutdown / Stop.
   void WaitUntilShutdown();
 
-  /// Graceful drain: stop accepting, send every WebSocket a 1001
-  /// close, flush and close every connection (their catalog sessions
+  /// Graceful drain: cancel the mine jobs, stop accepting, finish the
+  /// REST requests on the workers, send every WebSocket a 1001 close,
+  /// flush and close every connection (their catalog sessions
   /// release), join. Idempotent.
   void Stop();
 
   GatewayStats stats() const;
+
+  /// The mine jobs; records stay readable after Stop.
+  const JobManager& jobs() const { return jobs_; }
 
  private:
   /// Endpoint identities for the latency counters.
@@ -142,9 +156,16 @@ class Gateway {
     std::atomic<uint64_t> max_micros{0};
   };
 
+  /// How Route disposed of a request.
+  enum class Routed {
+    kAnswered,  // response filled in
+    kUpgraded,  // switched to WebSocket; the 101 is already sent
+    kToPool,    // a worker serves it (ServeStore)
+  };
+
   /// Per-connection protocol state. Only the owning loop thread (the
-  /// reactor's on_data/on_closed) touches the parsers and lease;
-  /// `is_ws` is read cross-thread by the drain path.
+  /// reactor's on_data/on_closed and Resume continuations) touches the
+  /// parsers and lease; `is_ws` is read cross-thread by the drain path.
   struct GwConn {
     ConnId id = 0;
     HttpRequestParser http;
@@ -156,19 +177,32 @@ class Gateway {
   };
 
   void AcceptLoop();
-  void OnData(ConnId id, std::string_view data);
+  /// The reactor's on_data: false pauses reading the connection.
+  bool OnData(ConnId id, std::string_view data);
   void OnClosed(ConnId id);
-  void ServeHttp(const std::shared_ptr<GwConn>& conn,
-                 const HttpRequest& request);
-  /// Routes one HTTP request to a response; `upgraded` reports that the
-  /// connection switched to WebSocket (response already sent).
-  void Route(const std::shared_ptr<GwConn>& conn,
-             const HttpRequest& request, HttpResponse* response,
-             Endpoint* endpoint, bool* upgraded);
-  void HandleUpgrade(const std::shared_ptr<GwConn>& conn,
+  /// Serves the connection's parsed requests in order. Returns false
+  /// when reading must pause: a request went to the pool (its worker
+  /// resumes the connection) or the connection is closing.
+  bool ServeQueued(const std::shared_ptr<GwConn>& conn);
+  /// Serves one request; returns as ServeQueued.
+  bool ServeHttp(const std::shared_ptr<GwConn>& conn, HttpRequest request);
+  /// Sends `response` and counts it, from a loop or a worker. Returns
+  /// false when the connection closes after it.
+  bool Reply(ConnId id, bool keep_alive, const StopWatch& watch,
+             Endpoint endpoint, HttpResponse* response);
+  /// Routes one HTTP request on the loop.
+  Routed Route(const std::shared_ptr<GwConn>& conn,
+               const HttpRequest& request, HttpResponse* response,
+               Endpoint* endpoint);
+  /// The store-leasing endpoints, on a worker: leases the store (which
+  /// may open it) for the request's duration.
+  void ServeStore(const HttpRequest& request, HttpResponse* response,
+                  Endpoint* endpoint);
+  /// True when the connection switched to WebSocket (101 sent);
+  /// otherwise `response` holds the refusal.
+  bool HandleUpgrade(const std::shared_ptr<GwConn>& conn,
                      const HttpRequest& request,
-                     const std::string& store, HttpResponse* response,
-                     bool* upgraded);
+                     const std::string& store, HttpResponse* response);
   void ServeWs(const std::shared_ptr<GwConn>& conn,
                std::string_view data);
   /// Executes one WebSocket op line; returns the JSON-framed reply.
@@ -181,7 +215,8 @@ class Gateway {
   core::Catalog* catalog_;
   GatewayOptions options_;
   std::unique_ptr<Reactor> reactor_;
-  JobManager jobs_;
+  WorkerPool pool_;
+  JobManager jobs_;  // runs on pool_, so declared after it
 
   net::Socket listener_;
   uint16_t port_ = 0;

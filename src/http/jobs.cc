@@ -17,8 +17,8 @@ struct JobManager::Job {
   uint32_t top_k = 10;
   std::atomic<bool> cancel{false};
   core::CatalogSession lease;
-  std::thread worker;
-  bool finished = false;  // worker is done; joinable without blocking
+  bool started = false;   // a worker picked it up (mu_)
+  bool finished = false;  // settled; the record is final (mu_)
 };
 
 namespace {
@@ -56,7 +56,8 @@ std::string ComponentsResultJson(const mining::ComponentResult& c) {
 
 }  // namespace
 
-JobManager::JobManager(core::Catalog* catalog) : catalog_(catalog) {}
+JobManager::JobManager(core::Catalog* catalog, WorkerPool* pool)
+    : catalog_(catalog), pool_(pool) {}
 
 JobManager::~JobManager() { Shutdown(); }
 
@@ -73,30 +74,40 @@ gmine::Result<uint64_t> JobManager::Submit(const std::string& store,
   // Lease first so submit reports NotFound / quota errors synchronously.
   GMINE_ASSIGN_OR_RETURN(core::CatalogSession lease,
                          catalog_->AcquireSession(store));
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stopping_) return Status::Aborted("job manager shutting down");
-  const uint64_t id = next_id_++;
-  auto job = std::make_unique<Job>();
-  job->info.id = id;
+  auto job = std::make_shared<Job>();
   job->info.store = store;
   job->info.kernel = kernel;
   job->kernel = *parsed;
-  job->info.state = "running";
+  job->info.state = "running";  // waiting for a worker reads the same
   job->top_k = top_k == 0 ? 10 : top_k;
   job->lease = std::move(lease);
-  Job* raw = job.get();
-  jobs_.emplace(id, std::move(job));
-  raw->worker = std::thread([this, raw] { Run(raw); });
-  return id;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (stopping_ || !pool_->Submit([this, job] { Run(job); })) {
+    // `job` (and its lease) outlives the lock: released unlocked.
+    return Status::Aborted("job manager shutting down");
+  }
+  job->info.id = next_id_++;
+  ++pool_tasks_;
+  jobs_.emplace(job->info.id, job);
+  return job->info.id;
 }
 
-void JobManager::Run(Job* job) {
+void JobManager::Run(const std::shared_ptr<Job>& job) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (job->finished) {  // cancelled while it waited for a worker
+      --pool_tasks_;
+      idle_cv_.notify_all();
+      return;
+    }
+    job->started = true;
+  }
   const gtree::GTreeStore& store = *job->lease.store();
   mining::PageRankOverPagesOptions options;
-  options.context.cancelled = [job] {
+  options.context.cancelled = [&job] {
     return job->cancel.load(std::memory_order_relaxed);
   };
-  options.context.progress = [this, job](const mining::KernelProgress& p) {
+  options.context.progress = [this, &job](const mining::KernelProgress& p) {
     std::lock_guard<std::mutex> lock(mu_);
     job->info.progress = p;
   };
@@ -132,6 +143,19 @@ void JobManager::Run(Job* job) {
     job->info.error = status.message();
   }
   job->finished = true;
+  --pool_tasks_;
+  // Under mu_: once pool_tasks_ reads 0, Shutdown may return and the
+  // manager go away.
+  idle_cv_.notify_all();
+}
+
+core::CatalogSession JobManager::CancelLocked(Job* job) {
+  job->cancel.store(true, std::memory_order_relaxed);
+  if (job->started) return {};  // the kernel notices and settles it
+  job->info.state = "cancelled";
+  job->info.error = "cancelled before it started";
+  job->finished = true;
+  return std::move(job->lease);
 }
 
 gmine::Result<MineJobInfo> JobManager::Get(uint64_t id) const {
@@ -145,45 +169,31 @@ gmine::Result<MineJobInfo> JobManager::Get(uint64_t id) const {
 }
 
 gmine::Result<MineJobInfo> JobManager::Cancel(uint64_t id, bool* removed) {
-  std::unique_ptr<Job> reap;
-  MineJobInfo info;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-      return Status::NotFound(StrFormat("no job %llu",
-                                        (unsigned long long)id));
-    }
-    Job* job = it->second.get();
-    if (!job->finished) {
-      job->cancel.store(true, std::memory_order_relaxed);
-      *removed = false;
-      return job->info;
-    }
-    reap = std::move(it->second);
-    jobs_.erase(it);
-    info = reap->info;
+  core::CatalogSession lease;  // released after the lock drops
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = jobs_.find(id);
+  if (it == jobs_.end()) {
+    return Status::NotFound(StrFormat("no job %llu",
+                                      (unsigned long long)id));
   }
-  if (reap->worker.joinable()) reap->worker.join();
-  *removed = true;
-  return info;
+  const std::shared_ptr<Job> job = it->second;
+  *removed = job->finished;
+  if (job->finished) {
+    jobs_.erase(it);
+  } else {
+    lease = CancelLocked(job.get());
+  }
+  return job->info;
 }
 
 void JobManager::Shutdown() {
-  std::vector<std::unique_ptr<Job>> reap;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-    for (auto& [id, job] : jobs_) {
-      job->cancel.store(true, std::memory_order_relaxed);
-      reap.push_back(std::move(job));
-    }
-    jobs_.clear();
+  std::vector<core::CatalogSession> leases;  // released after the lock
+  std::unique_lock<std::mutex> lock(mu_);
+  stopping_ = true;
+  for (auto& [id, job] : jobs_) {
+    if (!job->finished) leases.push_back(CancelLocked(job.get()));
   }
-  for (auto& job : reap) {
-    if (job->worker.joinable()) job->worker.join();
-  }
+  idle_cv_.wait(lock, [this] { return pool_tasks_ == 0; });
 }
 
 size_t JobManager::jobs_now() const {

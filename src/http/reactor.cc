@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -28,6 +29,9 @@ struct Reactor::Conn {
   bool close_after_flush = false;
   bool evict = false;          // slow client: close without flushing
   bool dead = false;           // torn down; on_closed fired
+
+  /// on_data paused reading; owning loop thread only.
+  bool paused = false;
 };
 
 /// One epoll event loop.
@@ -36,11 +40,13 @@ struct Reactor::Loop {
   int event_fd = -1;  // cross-thread wakeup
   std::thread thread;
 
-  /// Connections owned by this loop, and the subset needing a flush
-  /// pass (Send/Close kicked them).
+  /// Connections owned by this loop, the subset needing a flush pass
+  /// (Send/Close kicked them), and Resume continuations to run.
   std::mutex mu;
   std::unordered_map<ConnId, std::shared_ptr<Conn>> conns;
   std::vector<std::shared_ptr<Conn>> kicked;
+  std::vector<std::pair<std::shared_ptr<Conn>, std::function<bool()>>>
+      resumed;
 
   ~Loop() {
     if (epoll_fd >= 0) ::close(epoll_fd);
@@ -204,6 +210,21 @@ void Reactor::Close(ConnId id) {
   WakeLoop(conn->loop);
 }
 
+void Reactor::Resume(ConnId id, std::function<bool()> fn) {
+  std::shared_ptr<Conn> conn;
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    auto it = conns_.find(id);
+    if (it == conns_.end()) return;
+    conn = it->second;
+  }
+  {
+    std::lock_guard<std::mutex> lock(conn->loop->mu);
+    conn->loop->resumed.emplace_back(conn, std::move(fn));
+  }
+  WakeLoop(conn->loop);
+}
+
 void Reactor::LoopThread(Loop* loop) {
   constexpr int kMaxEvents = 128;
   struct epoll_event events[kMaxEvents];
@@ -236,15 +257,32 @@ void Reactor::LoopThread(Loop* loop) {
         HandleReadable(loop, conn);
       }
     }
-    // Flush pass for connections kicked by Send/Close.
+    // Flush pass for connections kicked by Send/Close, then the
+    // continuations of resumed connections (their replies are already
+    // queued, so they flush first).
     std::vector<std::shared_ptr<Conn>> kicked;
+    std::vector<std::pair<std::shared_ptr<Conn>, std::function<bool()>>>
+        resumed;
     {
       std::lock_guard<std::mutex> lock(loop->mu);
       kicked.swap(loop->kicked);
+      resumed.swap(loop->resumed);
     }
     for (const auto& conn : kicked) {
       if (stopping_.load()) break;
       (void)HandleWritable(loop, conn);
+    }
+    for (auto& [conn, fn] : resumed) {
+      if (stopping_.load()) break;
+      {
+        std::lock_guard<std::mutex> lock(conn->mu);
+        if (conn->dead) continue;
+      }
+      if (!fn()) continue;  // paused again
+      conn->paused = false;
+      // Edge-triggered: bytes that arrived while paused raised their
+      // edge already, so read them now.
+      HandleReadable(loop, conn);
     }
   }
 
@@ -264,6 +302,7 @@ void Reactor::LoopThread(Loop* loop) {
 
 void Reactor::HandleReadable(Loop* loop,
                              const std::shared_ptr<Conn>& conn) {
+  if (conn->paused) return;  // Resume reads what waits
   std::string buf;
   buf.resize(options_.read_chunk_bytes);
   for (;;) {
@@ -276,10 +315,12 @@ void Reactor::HandleReadable(Loop* loop,
     if (n > 0) {
       bytes_in_.fetch_add(static_cast<uint64_t>(n),
                           std::memory_order_relaxed);
-      if (callbacks_.on_data) {
-        callbacks_.on_data(conn->id,
-                           std::string_view(buf.data(),
-                                            static_cast<size_t>(n)));
+      if (callbacks_.on_data &&
+          !callbacks_.on_data(conn->id,
+                              std::string_view(buf.data(),
+                                               static_cast<size_t>(n)))) {
+        conn->paused = true;
+        return;
       }
       continue;  // edge-triggered: drain until EAGAIN
     }

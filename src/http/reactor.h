@@ -11,6 +11,10 @@
 //     the one and final teardown notification for a connection, so
 //     per-connection state needs no locking as long as only callbacks
 //     touch it;
+//   * on_data may pause a connection, handing its work to another
+//     thread: the loop stops reading it (what the peer sends meanwhile
+//     waits in the kernel) until that thread calls Resume(), which
+//     runs a continuation on the owning loop and then reads on;
 //   * writes from any thread: Send() appends to the connection's
 //     bounded output buffer and wakes its loop, which owns the actual
 //     socket writes. A peer that stops reading fills the buffer and is
@@ -65,8 +69,9 @@ struct ReactorStats {
 class Reactor {
  public:
   struct Callbacks {
-    /// Bytes arrived on `id`; runs on the owning loop thread.
-    std::function<void(ConnId, std::string_view)> on_data;
+    /// Bytes arrived on `id`; runs on the owning loop thread. Returns
+    /// false to pause reading `id` until Resume().
+    std::function<bool(ConnId, std::string_view)> on_data;
     /// `id` is gone (peer close, error, eviction or Stop); runs on the
     /// owning loop thread, exactly once per adopted connection.
     std::function<void(ConnId)> on_closed;
@@ -97,6 +102,12 @@ class Reactor {
   /// Asks the loop to close `id` after flushing queued output.
   /// Unknown ids are ignored. Thread-safe.
   void Close(ConnId id);
+
+  /// Hands a paused connection back to its loop: runs `fn` on the
+  /// owning loop thread and, if it returns true, reads on. Returning
+  /// false keeps the connection paused (for the next Resume). Dropped
+  /// when `id` is gone. Thread-safe.
+  void Resume(ConnId id, std::function<bool()> fn);
 
   ReactorStats stats() const;
   size_t open_connections() const;

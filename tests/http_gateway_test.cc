@@ -3,15 +3,21 @@
 // quota rejections on the wire, the RFC 6455 upgrade carrying the
 // navigation line protocol, ping/pong and the closing handshake,
 // slow-client eviction under a tiny write budget, a graceful drain that
-// releases every catalog session (leaked=0), and a many-idle-connection
-// smoke on one event loop.
+// releases every catalog session (leaked=0), a many-idle-connection
+// smoke on one event loop, and the worker pool: a slow REST query
+// stalls neither the loop's WebSocket ops nor its connection's reply
+// order, a waiting mine job cancels without running, and Stop answers
+// what is in flight.
 
 #include "http/gateway.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +29,7 @@
 #include "gtree/store.h"
 #include "http/client.h"
 #include "storage/buffer_pool.h"
+#include "util/string_util.h"
 
 namespace gmine::http {
 namespace {
@@ -47,16 +54,47 @@ void BuildStore(const std::string& path, uint64_t seed) {
                   .ok());
 }
 
-/// A running gateway over a fresh two-store catalog.
+/// A store large enough that one kSlowQuery keeps a worker busy for
+/// over 100 ms (15,000 nodes, ~55k edges). Built once per process.
+const std::string& BigStorePath() {
+  static const std::string path = [] {
+    const std::string out =
+        std::string(::testing::TempDir()) + "/gateway_big.gtree";
+    gen::DblpOptions gopts;
+    gopts.levels = 3;
+    gopts.fanout = 5;
+    gopts.leaf_size = 120;
+    gopts.seed = 19;
+    gen::DblpGraph dblp = std::move(gen::GenerateDblp(gopts)).value();
+    gtree::GTreeBuildOptions opts;
+    opts.levels = 3;
+    opts.fanout = 5;
+    gtree::GTree tree =
+        std::move(gtree::BuildGTree(dblp.graph, opts)).value();
+    auto conn = gtree::ConnectivityIndex::Build(dblp.graph, tree);
+    EXPECT_TRUE(gtree::GTreeStore::Create(out, dblp.graph, tree, conn,
+                                          dblp.labels)
+                    .ok());
+    return out;
+  }();
+  return path;
+}
+
+constexpr char kSlowQuery[] = "EXTRACT CSG FROM {0, 1, 2} BUDGET 30";
+
+/// A running gateway over a fresh two-store catalog, plus the big store
+/// as "big" when asked.
 class GatewayFixture {
  public:
   explicit GatewayFixture(const char* tag, GatewayOptions options = {},
-                          core::CatalogOptions copts = {}) {
+                          core::CatalogOptions copts = {},
+                          bool with_big = false) {
     dir_ = std::string(::testing::TempDir()) + "/gateway_" + tag;
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     BuildStore(dir_ + "/s0.gtree", 17);
     BuildStore(dir_ + "/s1.gtree", 18);
+    if (with_big) fs::copy_file(BigStorePath(), dir_ + "/big.gtree");
     copts.store.buffer_pool = &pool_;
     catalog_ = std::move(core::Catalog::OpenDirectory(dir_, copts)).value();
     options.buffer_pool = &pool_;
@@ -86,6 +124,24 @@ class GatewayFixture {
   std::unique_ptr<core::Catalog> catalog_;
   std::unique_ptr<Gateway> gateway_;
 };
+
+/// Polls `done` every few ms; false if it never held (about 20 s).
+bool Eventually(const std::function<bool()>& done) {
+  for (int i = 0; i < 4000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return false;
+}
+
+/// A number in the /stats body's "workers" object; -1 when absent.
+long WorkersField(const std::string& stats, const std::string& field) {
+  const size_t at = stats.find("\"workers\":{");
+  if (at == std::string::npos) return -1;
+  const size_t key = stats.find("\"" + field + "\":", at);
+  if (key == std::string::npos || key > stats.find('}', at)) return -1;
+  return std::atol(stats.c_str() + key + field.size() + 3);
+}
 
 TEST(HttpGatewayTest, RestEndpointsOverOneKeepAliveConnection) {
   GatewayFixture f("rest");
@@ -470,6 +526,176 @@ TEST(HttpGatewayTest, CapacityLimitAnswers503) {
   EXPECT_GE(f.gateway().stats().rejected_at_capacity, 1u);
   first.Close();
   second.Close();
+}
+
+TEST(HttpGatewayTest, RestQueryDoesNotStallWebSocketOps) {
+  GatewayFixture f("no_stall", {}, {}, /*with_big=*/true);
+  GatewayClient ws = f.Connect();
+  ASSERT_TRUE(ws.UpgradeWebSocket("/api/v1/stores/big/ws").ok());
+  ASSERT_TRUE(ws.Roundtrip("root").ok());
+
+  // One loop serves all three connections.
+  GatewayClient rest = f.Connect();
+  ASSERT_TRUE(
+      rest.SendRequest("POST", "/api/v1/stores/big/query", "", kSlowQuery)
+          .ok());
+  GatewayClient probe = f.Connect();
+  ASSERT_TRUE(Eventually([&] {
+    auto stats = probe.Request("GET", "/stats");
+    return stats.ok() && WorkersField(stats.value().body, "running") == 1;
+  })) << "/stats never showed the query running";
+
+  // The navigator is answered while the extraction still runs: its
+  // reply arrives, and the query's has not.
+  ASSERT_TRUE(ws.SendText("summary").ok());
+  auto summary = ws.ReadMessage();
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_NE(summary.value().payload.find("\"ok\":true"), std::string::npos);
+  EXPECT_FALSE(rest.ReadRaw(1, /*timeout_ms=*/0).ok())
+      << "the REST reply arrived before the WebSocket one";
+
+  auto reply = rest.ReadResponse(/*timeout_ms=*/60000);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply.value().status, 200) << reply.value().body;
+  EXPECT_NE(reply.value().body.find("\"rows\":"), std::string::npos);
+  EXPECT_TRUE(Eventually([&] {
+    const WorkerPoolStats w = f.gateway().stats().workers;
+    return w.running == 0 && w.completed == 1;
+  }));
+  (void)ws.SendClose(1000);
+}
+
+TEST(HttpGatewayTest, PipelinedRequestsAnswerInOrder) {
+  GatewayFixture f("pipelined", {}, {}, /*with_big=*/true);
+  GatewayClient client = f.Connect();
+  // One write, two requests: a slow query on a worker, then a summary
+  // that must wait for it.
+  const std::string body = kSlowQuery;
+  ASSERT_TRUE(client
+                  .SendRaw("POST /api/v1/stores/big/query HTTP/1.1\r\n"
+                           "Host: t\r\nContent-Length: " +
+                           std::to_string(body.size()) + "\r\n\r\n" +
+                           body +
+                           "GET /api/v1/stores/big/summary HTTP/1.1\r\n"
+                           "Host: t\r\n\r\n")
+                  .ok());
+  auto first = client.ReadResponse(/*timeout_ms=*/60000);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first.value().status, 200);
+  EXPECT_NE(first.value().body.find("\"rows\":"), std::string::npos)
+      << first.value().body;
+  auto second = client.ReadResponse(/*timeout_ms=*/60000);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second.value().status, 200);
+  EXPECT_NE(second.value().body.find("\"focus\":"), std::string::npos)
+      << second.value().body;
+  // The connection reads on after the pool hands it back.
+  auto third = client.Request("GET", "/api/v1/stores/big/summary");
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(third.value().status, 200);
+  EXPECT_EQ(f.catalog().stats().sessions_now, 0u);
+}
+
+/// Fills every worker with a slow query, one connection each, plus
+/// `queued_behind` more waiting in the queue.
+std::vector<GatewayClient> OccupyWorkers(GatewayFixture& f,
+                                         size_t queued_behind) {
+  const size_t threads = f.gateway().stats().workers.threads;
+  EXPECT_GE(threads, 2u);
+  std::vector<GatewayClient> clients(threads + queued_behind);
+  for (GatewayClient& client : clients) {
+    EXPECT_TRUE(client.Connect("127.0.0.1", f.port()).ok());
+    EXPECT_TRUE(client
+                    .SendRequest("POST", "/api/v1/stores/big/query", "",
+                                 kSlowQuery)
+                    .ok());
+  }
+  EXPECT_TRUE(Eventually([&] {
+    const WorkerPoolStats w = f.gateway().stats().workers;
+    return w.running == threads && w.queued == queued_behind;
+  }));
+  return clients;
+}
+
+TEST(HttpGatewayTest, WaitingJobReadsRunningAndCancelsWithoutRunning) {
+  core::CatalogOptions copts;
+  copts.session_quota = 0;  // unlimited
+  GatewayFixture f("job_waits", {}, copts, /*with_big=*/true);
+  // As many queries queued as running: the job waits behind a full
+  // round of them.
+  const size_t threads = f.gateway().stats().workers.threads;
+  std::vector<GatewayClient> busy = OccupyWorkers(f, threads);
+
+  GatewayClient client = f.Connect();
+  HttpClientResponse r =
+      std::move(client.Request("POST", "/api/v1/stores/big/mine")).value();
+  ASSERT_EQ(r.status, 202) << r.body;
+  const std::string location(r.Header("location"));
+  // Queued behind the queries: reported running, with zero progress.
+  r = std::move(client.Request("GET", location)).value();
+  EXPECT_NE(r.body.find("\"state\":\"running\""), std::string::npos)
+      << r.body;
+  EXPECT_NE(r.body.find("\"iteration\":0,"), std::string::npos) << r.body;
+  // DELETE settles it at once, without a worker.
+  r = std::move(client.Request("DELETE", location)).value();
+  EXPECT_EQ(r.status, 202);
+  EXPECT_NE(r.body.find("\"state\":\"cancelled\""), std::string::npos)
+      << r.body;
+
+  for (GatewayClient& c : busy) {
+    auto reply = c.ReadResponse(/*timeout_ms=*/60000);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply.value().status, 200);
+  }
+  // It never ran: no engine was picked and the lease is back.
+  ASSERT_TRUE(Eventually(
+      [&] { return f.gateway().stats().workers.running == 0; }));
+  r = std::move(client.Request("GET", location)).value();
+  EXPECT_NE(r.body.find("\"state\":\"cancelled\""), std::string::npos);
+  EXPECT_NE(r.body.find("\"engine\":\"\""), std::string::npos) << r.body;
+  r = std::move(client.Request("DELETE", location)).value();
+  EXPECT_EQ(r.status, 200);
+  EXPECT_EQ(f.catalog().stats().sessions_now, 0u);
+}
+
+TEST(HttpGatewayTest, StopAnswersInFlightQueriesAndCancelsWaitingJobs) {
+  core::CatalogOptions copts;
+  copts.session_quota = 0;  // unlimited
+  GatewayFixture f("stop_pool", {}, copts, /*with_big=*/true);
+  // Every worker busy and as many queries queued behind them: the job
+  // below cannot reach a worker before Stop.
+  const size_t threads = f.gateway().stats().workers.threads;
+  std::vector<GatewayClient> queries = OccupyWorkers(f, threads);
+  GatewayClient client = f.Connect();
+  HttpClientResponse r =
+      std::move(client.Request("POST", "/api/v1/stores/big/mine")).value();
+  ASSERT_EQ(r.status, 202) << r.body;
+  uint64_t job = 0;
+  ASSERT_TRUE(ParseUint64(
+      std::string_view(r.Header("location")).substr(strlen("/api/v1/jobs/")),
+      &job));
+
+  f.gateway().Stop();
+
+  for (GatewayClient& c : queries) {
+    auto reply = c.ReadResponse(/*timeout_ms=*/60000);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply.value().status, 200);
+    EXPECT_NE(reply.value().body.find("\"rows\":"), std::string::npos);
+  }
+  auto info = f.gateway().jobs().Get(job);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info.value().state, "cancelled");
+  EXPECT_EQ(info.value().progress.iteration, 0u);
+  EXPECT_EQ(info.value().engine, "");
+  // leaked=0: every lease returned, every store closed.
+  const core::CatalogStats stats = f.catalog().stats();
+  EXPECT_EQ(stats.sessions_now, 0u);
+  EXPECT_EQ(stats.open_now, 0u);
+  EXPECT_EQ(stats.opens, stats.closes);
+  const WorkerPoolStats workers = f.gateway().stats().workers;
+  EXPECT_EQ(workers.queued, 0u);
+  EXPECT_EQ(workers.running, 0u);
 }
 
 }  // namespace

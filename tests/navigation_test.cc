@@ -167,6 +167,30 @@ TEST(NavigationTest, EveryEventRecordsDisplaySize) {
   }
 }
 
+TEST(NavigationTest, HistoryKeepsTheMostRecentEventsAndCountsAll) {
+  NavFixture f = MakeNavFixture("history_cap");
+  NavigationSession nav(f.store.get());  // records "focus_root"
+  constexpr size_t kOps = 2 * NavigationSession::kMaxHistory + 37;
+  for (size_t i = 0; i < kOps; ++i) {
+    ASSERT_TRUE((i % 2 == 0 ? nav.FocusChild(0) : nav.FocusParent()).ok());
+  }
+  nav.SearchByPrefix("Jiawei");
+
+  const std::vector<InteractionEvent>& history = nav.history();
+  EXPECT_LE(history.size(), NavigationSession::kMaxHistory);
+  EXPECT_GT(history.size(), NavigationSession::kMaxHistory / 2);
+  // The newest events survive, in order.
+  EXPECT_EQ(history.back().op, "prefix_query");
+  EXPECT_EQ(history[history.size() - 2].op, "focus_child");  // op kOps-1
+  EXPECT_EQ(history[history.size() - 3].op, "focus_parent");
+  EXPECT_EQ(nav.interactions(), kOps + 2);
+  // The back stack is not history: it still walks every focus change.
+  EXPECT_EQ(nav.focus(), f.store->tree().node(f.store->tree().root())
+                             .children[0]);
+  ASSERT_TRUE(nav.Back().ok());
+  EXPECT_EQ(nav.focus(), f.store->tree().root());
+}
+
 TEST(NavigationTest, PrefixSearchReturnsMatchesWithoutMovingFocus) {
   NavFixture f = MakeNavFixture("prefix");
   NavigationSession nav(f.store.get());

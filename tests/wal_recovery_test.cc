@@ -3,16 +3,19 @@
 // and the full "acked => replayed" invariant — a forked writer is
 // killed (deterministically, via GMINE_WAL_CRASH_AFTER_SYNCS) at every
 // group-commit barrier of a 200+-edit script, and the reopened engine
-// must match the serial reference at exactly the recovered prefix.
+// must hold at least every acked edit, at most every logged one, and
+// match the serial reference at exactly the recovered prefix.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/edit_queue.h"
@@ -278,16 +281,89 @@ std::string NavigationTranscript(GMineEngine& engine) {
   return out;
 }
 
+// Appends an LSN line to a progress file and makes it durable.
+void RecordLsn(FILE* f, uint64_t lsn) {
+  std::fprintf(f, "%llu\n", static_cast<unsigned long long>(lsn));
+  std::fflush(f);
+  fdatasync(fileno(f));
+}
+
+// The crash child's WAL filesystem: passes everything through, and at
+// every sync records the highest LSN appended so far. The WAL's crash
+// hook runs right after a sync, so the file's last line is the highest
+// LSN logged when the child died — an upper bound on what recovery may
+// replay. Each WAL Append writes one whole record, so it decodes here.
+class LsnRecordingFs : public util::FileSystem {
+ public:
+  explicit LsnRecordingFs(FILE* logged) : logged_(logged) {}
+
+  gmine::Result<std::unique_ptr<util::WritableFile>> OpenAppend(
+      const std::string& path) override {
+    GMINE_ASSIGN_OR_RETURN(std::unique_ptr<util::WritableFile> base,
+                           util::FileSystem::Posix()->OpenAppend(path));
+    return std::unique_ptr<util::WritableFile>(
+        new File(std::move(base), this));
+  }
+  gmine::Result<std::string> ReadFileToString(
+      const std::string& path) override {
+    return util::FileSystem::Posix()->ReadFileToString(path);
+  }
+  Status Truncate(const std::string& path, uint64_t size) override {
+    return util::FileSystem::Posix()->Truncate(path, size);
+  }
+  Status Remove(const std::string& path) override {
+    return util::FileSystem::Posix()->Remove(path);
+  }
+  bool Exists(const std::string& path) override {
+    return util::FileSystem::Posix()->Exists(path);
+  }
+
+ private:
+  class File : public util::WritableFile {
+   public:
+    File(std::unique_ptr<util::WritableFile> base, LsnRecordingFs* fs)
+        : base_(std::move(base)), fs_(fs) {}
+    Status Append(std::string_view data) override {
+      std::string_view record = data;
+      auto decoded = Wal::DecodeRecord(&record);  // fails on the header
+      if (decoded.ok()) {
+        fs_->highest_ = std::max(fs_->highest_, decoded.value().lsn);
+      }
+      return base_->Append(data);
+    }
+    Status Flush() override { return base_->Flush(); }
+    Status Sync() override {
+      GMINE_RETURN_IF_ERROR(base_->Sync());
+      RecordLsn(fs_->logged_, fs_->highest_);
+      return Status::OK();
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    std::unique_ptr<util::WritableFile> base_;
+    LsnRecordingFs* fs_;
+  };
+
+  FILE* logged_;
+  uint64_t highest_ = 0;
+};
+
 // Child body for one crash point: open the store with the WAL enabled,
-// group-commit the whole script, record every ack in a progress file,
-// and die (_exit(137) in the WAL's sync hook) at the Kth barrier.
-// Exits 0 when K exceeds the script's total syncs — the sweep is done.
+// group-commit the whole script, record every ack and every synced
+// LSN in progress files, and die (_exit(137) in the WAL's sync hook)
+// at the Kth barrier. Exits 0 when K exceeds the script's total syncs
+// — the sweep is done.
 void RunCrashChild(const CrashFixture& fx, const std::string& store,
-                   const std::string& acked_path, int crash_at) {
+                   const std::string& acked_path,
+                   const std::string& logged_path, int crash_at) {
   ::setenv("GMINE_WAL_CRASH_AFTER_SYNCS",
            StrFormat("%d", crash_at).c_str(), 1);
+  FILE* logged = std::fopen(logged_path.c_str(), "ab");
+  if (logged == nullptr) _exit(44);
+  LsnRecordingFs fs(logged);
   EngineOptions opts;
   opts.wal.enabled = true;
+  opts.wal.fs = &fs;
   auto engine = GMineEngine::Open(store, opts);
   if (!engine.ok()) _exit(42);
   EditQueueOptions qopts;
@@ -304,19 +380,16 @@ void RunCrashChild(const CrashFixture& fx, const std::string& store,
   for (auto& fut : futures) {
     core::EditCommit commit = fut.get();
     if (!commit.status.ok()) _exit(45);
-    std::fprintf(acked, "%llu\n",
-                 static_cast<unsigned long long>(commit.lsn));
-    std::fflush(acked);
-    fdatasync(fileno(acked));
+    RecordLsn(acked, commit.lsn);
   }
   std::fclose(acked);
   queue.Stop();
   _exit(0);
 }
 
-uint64_t MaxAckedLsn(const std::string& acked_path) {
+uint64_t MaxRecordedLsn(const std::string& path) {
   uint64_t max_lsn = 0;
-  FILE* f = std::fopen(acked_path.c_str(), "rb");
+  FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return 0;
   unsigned long long lsn = 0;
   while (std::fscanf(f, "%llu", &lsn) == 1) {
@@ -330,37 +403,34 @@ TEST(WalCrashSweepTest, EveryCrashPointRecoversTheAckedPrefix) {
   CrashFixture fx;
   ASSERT_FALSE(fx.base_bytes.empty());
 
-  // Serial reference, advanced lazily to each crash point's recovered
-  // LSN: the reference store applies the same records one at a time,
-  // exactly like WAL replay does.
-  const std::string ref_store = TempPath("wal_crash_ref.gtree");
-  ASSERT_TRUE(graph::WriteStringToFile(fx.base_bytes, ref_store).ok());
-  auto ref = GMineEngine::Open(ref_store);
-  ASSERT_TRUE(ref.ok());
-  uint64_t ref_applied = 0;
-  auto advance_ref = [&](uint64_t to) {
-    while (ref_applied < to) {
-      ASSERT_TRUE(ref.value()->ApplyEdit(fx.edits[ref_applied]).ok());
-      ++ref_applied;
-    }
+  // What each crash point recovered; checked against the serial
+  // reference after the sweep.
+  struct Recovered {
+    int crash_at = 0;
+    uint64_t applied = 0;
+    std::string fingerprint;
+    std::string transcript;
   };
+  std::vector<Recovered> points;
 
   const std::string store = TempPath("wal_crash_run.gtree");
   const std::string wal_path = store + ".wal";
   const std::string acked_path = TempPath("wal_crash_acked.txt");
-  uint64_t prev_recovered = 0;
+  const std::string logged_path = TempPath("wal_crash_logged.txt");
   bool script_completed = false;
   int crash_points = 0;
   for (int crash_at = 1; !script_completed; ++crash_at) {
     ASSERT_LT(crash_at, 256) << "sweep failed to terminate";
     std::remove(wal_path.c_str());
     std::remove(acked_path.c_str());
+    std::remove(logged_path.c_str());
     ASSERT_TRUE(graph::WriteStringToFile(fx.base_bytes, store).ok());
 
     pid_t pid = fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
-      RunCrashChild(fx, store, acked_path, crash_at);  // never returns
+      // Never returns.
+      RunCrashChild(fx, store, acked_path, logged_path, crash_at);
     }
     int wstatus = 0;
     ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
@@ -373,7 +443,8 @@ TEST(WalCrashSweepTest, EveryCrashPointRecoversTheAckedPrefix) {
       ++crash_points;
     }
 
-    const uint64_t acked = MaxAckedLsn(acked_path);
+    const uint64_t acked = MaxRecordedLsn(acked_path);
+    const uint64_t logged = MaxRecordedLsn(logged_path);
     EngineOptions opts;
     opts.wal.enabled = true;
     auto recovered = GMineEngine::Open(store, opts);
@@ -383,29 +454,48 @@ TEST(WalCrashSweepTest, EveryCrashPointRecoversTheAckedPrefix) {
     // The invariant: every acked edit is in the recovered store, and
     // the store never contains more than the log's synced prefix.
     EXPECT_GE(applied, acked) << "crash_at=" << crash_at;
+    EXPECT_LE(applied, logged) << "crash_at=" << crash_at;
     ASSERT_LE(applied, fx.edits.size());
-    EXPECT_GE(applied, prev_recovered);  // later crashes lose nothing
-    prev_recovered = applied;
-
-    // Recovered state == serial reference after exactly `applied`
-    // edits: graph bytes and navigation behavior.
-    advance_ref(applied);
     auto g = recovered.value()->full_graph();
     ASSERT_TRUE(g.ok());
-    auto ref_g = ref.value()->full_graph();
-    ASSERT_TRUE(ref_g.ok());
-    ASSERT_EQ(GraphFingerprint(*g.value()), GraphFingerprint(*ref_g.value()))
-        << "crash_at=" << crash_at << " applied=" << applied;
-    EXPECT_EQ(NavigationTranscript(*recovered.value()),
-              NavigationTranscript(*ref.value()))
-        << "crash_at=" << crash_at;
+    points.push_back({crash_at, applied, GraphFingerprint(*g.value()),
+                      NavigationTranscript(*recovered.value())});
   }
   EXPECT_GE(crash_points, 10);  // the sweep actually exercised crashes
+
+  // Each crash point's state == the serial reference after exactly its
+  // `applied` edits: graph bytes and navigation behavior. How a child
+  // groups its edits races its submitting thread, so a later crash
+  // point may recover fewer edits than an earlier one; the points are
+  // visited in `applied` order, so the reference — which applies the
+  // records one at a time, like WAL replay — only moves forward.
+  std::sort(points.begin(), points.end(),
+            [](const Recovered& a, const Recovered& b) {
+              return a.applied < b.applied;
+            });
+  const std::string ref_store = TempPath("wal_crash_ref.gtree");
+  ASSERT_TRUE(graph::WriteStringToFile(fx.base_bytes, ref_store).ok());
+  auto ref = GMineEngine::Open(ref_store);
+  ASSERT_TRUE(ref.ok());
+  uint64_t ref_applied = 0;
+  for (const Recovered& point : points) {
+    while (ref_applied < point.applied) {
+      ASSERT_TRUE(ref.value()->ApplyEdit(fx.edits[ref_applied]).ok());
+      ++ref_applied;
+    }
+    auto ref_g = ref.value()->full_graph();
+    ASSERT_TRUE(ref_g.ok());
+    EXPECT_EQ(point.fingerprint, GraphFingerprint(*ref_g.value()))
+        << "crash_at=" << point.crash_at << " applied=" << point.applied;
+    EXPECT_EQ(point.transcript, NavigationTranscript(*ref.value()))
+        << "crash_at=" << point.crash_at;
+  }
   ref.value().reset();
   std::remove(ref_store.c_str());
   std::remove(store.c_str());
   std::remove(wal_path.c_str());
   std::remove(acked_path.c_str());
+  std::remove(logged_path.c_str());
 }
 
 }  // namespace
