@@ -1398,7 +1398,7 @@ Status CmdGateway(const CommandLine& cmd, std::string* out) {
       static_cast<unsigned long long>(gstats.requests),
       static_cast<unsigned long long>(gstats.upgrades),
       static_cast<unsigned long long>(gstats.ws_messages),
-      static_cast<unsigned long long>(gstats.rejected_at_capacity));
+      static_cast<unsigned long long>(gstats.reactor.rejected));
   *out += StrFormat(
       "reactor: adopted=%llu closed=%llu evicted_slow=%llu open=%zu "
       "in=%s out=%s\n",

@@ -2,8 +2,9 @@
 // session's focus, so when a user lands on a community the pages of its
 // child leaves are the likeliest next loads. The prefetcher is a
 // best-effort background loader feeding the store's sharded page cache:
-// hosts (net::Server with --prefetch, or any embedding) enqueue leaf
-// ids after a focus change; a single worker thread pulls them through
+// hosts (net::Server's event loops with --prefetch, or any embedding)
+// enqueue leaf ids after a focus change, which never blocks; a single
+// worker thread pulls them through
 // GTreeStore::LoadLeaf under the prefetcher's own ReaderTag, so every
 // later session hit on a prefetched page counts in the store's
 // cross-reader `shared_hits` statistic.

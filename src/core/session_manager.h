@@ -126,7 +126,7 @@ class SessionManager {
 
   /// Refreshes `id`'s recency and idle clock without dispatching a
   /// callback — a keepalive for hosts whose requests do not all touch
-  /// the session (net::Server's connection-level ops like ping/stats).
+  /// the session (net::Server's connection-level ops, stats and edit).
   /// False for unknown/closed/evicted ids.
   bool TouchSession(SessionId id);
 
@@ -150,8 +150,8 @@ class SessionManager {
   /// Installs (or clears, with nullptr-like empty fn) the close hook:
   /// invoked once per session removed from the pool, for any reason,
   /// with the pool's internal lock released — hosts that own
-  /// connection-scoped sessions (net::Server) use it to tear the
-  /// connection down when the pool reaps its session. The hook runs on
+  /// connection-scoped sessions (net::Server) use it to close the
+  /// connection when the pool reaps its session. The hook runs on
   /// whichever thread triggered the removal and must not call back
   /// into the manager.
   void set_on_session_closed(

@@ -120,42 +120,32 @@ Status Gateway::Start() {
   }
   ReactorOptions ropts;
   ropts.threads = options_.reactor_threads;
+  ropts.port = options_.port;
+  ropts.backlog = options_.backlog;
+  ropts.max_conns = options_.max_conns;
+  HttpResponse busy;
+  busy.status = 503;
+  busy.keep_alive = false;
+  busy.content_type = "application/json";
+  busy.body = "{\"error\":\"gateway at connection capacity\"}\n";
+  ropts.refusal = EncodeResponse(busy);
   ropts.max_write_buffer_bytes = options_.max_write_buffer_bytes;
   ropts.poll_interval_ms = options_.poll_interval_ms;
   Reactor::Callbacks callbacks;
+  callbacks.on_open = [this](ConnId id, std::string*) {
+    auto conn = std::make_shared<GwConn>();
+    conn->id = id;
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    conns_.emplace(id, std::move(conn));
+    return true;
+  };
   callbacks.on_data = [this](ConnId id, std::string_view data) {
     return OnData(id, data);
   };
   callbacks.on_closed = [this](ConnId id) { OnClosed(id); };
   reactor_ = std::make_unique<Reactor>(ropts, std::move(callbacks));
   GMINE_RETURN_IF_ERROR(reactor_->Start());
-  GMINE_ASSIGN_OR_RETURN(
-      listener_, net::ListenTcp(options_.port, options_.backlog, &port_));
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
-}
-
-void Gateway::AcceptLoop() {
-  while (!stopping_.load()) {
-    auto readable = listener_.WaitReadable(options_.poll_interval_ms);
-    if (!readable.ok() || !readable.value()) continue;
-    auto accepted = net::AcceptConnection(listener_);
-    if (!accepted.ok()) continue;
-    if (reactor_->open_connections() >= options_.max_conns) {
-      rejected_at_capacity_.fetch_add(1, std::memory_order_relaxed);
-      HttpResponse busy;
-      busy.status = 503;
-      busy.keep_alive = false;
-      busy.content_type = "application/json";
-      busy.body = "{\"error\":\"gateway at connection capacity\"}\n";
-      (void)accepted.value().WriteAll(EncodeResponse(busy));
-      continue;  // Socket closes via RAII
-    }
-    // Adoption arms epoll immediately, so the connection's first bytes
-    // can reach OnData before this thread runs again — per-connection
-    // state is created lazily there, not here.
-    (void)reactor_->Adopt(std::move(accepted).value());
-  }
 }
 
 bool Gateway::OnData(ConnId id, std::string_view data) {
@@ -163,11 +153,7 @@ bool Gateway::OnData(ConnId id, std::string_view data) {
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     auto it = conns_.find(id);
-    if (it == conns_.end()) {
-      auto fresh = std::make_shared<GwConn>();
-      fresh->id = id;
-      it = conns_.emplace(id, std::move(fresh)).first;
-    }
+    if (it == conns_.end()) return false;
     conn = it->second;
   }
   if (conn->is_ws.load(std::memory_order_acquire)) {
@@ -238,7 +224,9 @@ bool Gateway::ServeHttp(const std::shared_ptr<GwConn>& conn,
 
 bool Gateway::Reply(ConnId id, bool keep_alive, const StopWatch& watch,
                     Endpoint endpoint, HttpResponse* response) {
-  response->keep_alive = keep_alive && response->status != 503;
+  // A route may close the connection itself (POST /api/v1/shutdown).
+  response->keep_alive =
+      response->keep_alive && keep_alive && response->status != 503;
   (void)reactor_->Send(id, EncodeResponse(*response));
   if (!response->keep_alive) reactor_->Close(id);
   Observe(endpoint, watch.ElapsedMicros(), response->status >= 400);
@@ -728,12 +716,10 @@ void Gateway::WaitUntilShutdown() {
 
 void Gateway::Stop() {
   if (!started_.load() || stopped_) return;
-  stopping_.store(true);
   // Waiting jobs settle cancelled, running ones stop at their next
   // cancellation check; their leases release.
   jobs_.Shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.Close();
+  reactor_->StopAccepting();
   // In-flight REST requests finish and queue their replies, which the
   // reactor flushes below; requests parsed from here on answer 503.
   pool_.Drain();
@@ -786,7 +772,7 @@ std::string Gateway::StatsJson() const {
       reactor.open_now, (unsigned long long)reactor.adopted,
       (unsigned long long)reactor.closed,
       (unsigned long long)reactor.evicted_slow,
-      (unsigned long long)rejected_at_capacity_.load(),
+      (unsigned long long)reactor.rejected,
       (unsigned long long)requests_.load(),
       (unsigned long long)upgrades_.load(),
       (unsigned long long)ws_messages_.load());
@@ -832,7 +818,6 @@ GatewayStats Gateway::stats() const {
   out.requests = requests_.load();
   out.upgrades = upgrades_.load();
   out.ws_messages = ws_messages_.load();
-  out.rejected_at_capacity = rejected_at_capacity_.load();
   for (size_t i = 0; i < kEpCount; ++i) {
     EndpointStats ep;
     ep.endpoint = kEndpointNames[i];

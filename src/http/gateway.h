@@ -45,7 +45,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -56,7 +55,6 @@
 #include "http/websocket.h"
 #include "http/worker_pool.h"
 #include "net/protocol.h"
-#include "net/socket.h"
 #include "storage/buffer_pool.h"
 #include "util/status.h"
 #include "util/timer.h"
@@ -97,7 +95,6 @@ struct GatewayStats {
   uint64_t requests = 0;      // HTTP requests served (uploads included)
   uint64_t upgrades = 0;      // successful WebSocket upgrades
   uint64_t ws_messages = 0;   // WebSocket ops executed
-  uint64_t rejected_at_capacity = 0;
   std::vector<EndpointStats> endpoints;
 };
 
@@ -110,10 +107,10 @@ class Gateway {
   Gateway(const Gateway&) = delete;
   Gateway& operator=(const Gateway&) = delete;
 
-  /// Binds, starts the reactor pool and the accept thread.
+  /// Binds and starts the reactor (its loops and accept thread).
   Status Start();
 
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return reactor_ ? reactor_->port() : 0; }
 
   /// Asks the host to stop (POST /api/v1/shutdown lands here too).
   void RequestShutdown();
@@ -176,7 +173,6 @@ class Gateway {
     bool sent_close = false;  // we already sent a WS close frame
   };
 
-  void AcceptLoop();
   /// The reactor's on_data: false pauses reading the connection.
   bool OnData(ConnId id, std::string_view data);
   void OnClosed(ConnId id);
@@ -218,12 +214,8 @@ class Gateway {
   WorkerPool pool_;
   JobManager jobs_;  // runs on pool_, so declared after it
 
-  net::Socket listener_;
-  uint16_t port_ = 0;
   std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};
   bool stopped_ = false;
-  std::thread accept_thread_;
 
   mutable std::mutex conns_mu_;
   std::unordered_map<ConnId, std::shared_ptr<GwConn>> conns_;
@@ -232,7 +224,6 @@ class Gateway {
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> upgrades_{0};
   std::atomic<uint64_t> ws_messages_{0};
-  std::atomic<uint64_t> rejected_at_capacity_{0};
 
   std::mutex shutdown_mu_;
   std::condition_variable shutdown_cv_;

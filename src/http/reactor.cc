@@ -39,6 +39,7 @@ struct Reactor::Loop {
   int epoll_fd = -1;
   int event_fd = -1;  // cross-thread wakeup
   std::thread thread;
+  std::string read_buf;  // recv() target; the loop thread only
 
   /// Connections owned by this loop, the subset needing a flush pass
   /// (Send/Close kicked them), and Resume continuations to run.
@@ -55,6 +56,13 @@ struct Reactor::Loop {
 };
 
 namespace {
+
+/// The loop the calling thread runs, if any. Sends and closes from a
+/// loop's own callbacks need no eventfd wake-up: the loop flushes them
+/// before it waits again.
+thread_local const void* t_loop = nullptr;
+
+constexpr size_t kReadChunkBytes = 16 * 1024;  // recv() size
 
 Status SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -78,8 +86,11 @@ Status Reactor::Start() {
   if (started_.exchange(true)) {
     return Status::Internal("reactor already started");
   }
+  GMINE_ASSIGN_OR_RETURN(
+      listener_, net::ListenTcp(options_.port, options_.backlog, &port_));
   for (int i = 0; i < options_.threads; ++i) {
     auto loop = std::make_unique<Loop>();
+    loop->read_buf.resize(kReadChunkBytes);
     loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     if (loop->epoll_fd < 0) {
       return Status::IOError(
@@ -104,11 +115,20 @@ Status Reactor::Start() {
     Loop* raw = loop.get();
     raw->thread = std::thread([this, raw] { LoopThread(raw); });
   }
+  accepting_.store(true);
+  accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
+}
+
+void Reactor::StopAccepting() {
+  accepting_.store(false);
+  if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.Close();
 }
 
 void Reactor::Stop() {
   if (!started_.load() || stopped_) return;
+  StopAccepting();
   stopping_.store(true);
   for (auto& loop : loops_) WakeLoop(loop.get());
   for (auto& loop : loops_) {
@@ -118,48 +138,58 @@ void Reactor::Stop() {
 }
 
 void Reactor::WakeLoop(Loop* loop) {
+  if (loop == t_loop) return;
   const uint64_t one = 1;
   ssize_t ignored = ::write(loop->event_fd, &one, sizeof(one));
   (void)ignored;
 }
 
-gmine::Result<ConnId> Reactor::Adopt(net::Socket sock) {
-  if (!started_.load() || stopping_.load()) {
-    return Status::Aborted("reactor not running");
+void Reactor::AcceptLoop() {
+  while (accepting_.load()) {
+    auto readable = listener_.WaitReadable(options_.poll_interval_ms);
+    if (!readable.ok()) return;
+    if (!readable.value()) {
+      if (callbacks_.on_tick) callbacks_.on_tick();
+      continue;
+    }
+    auto accepted = net::AcceptConnection(listener_);
+    if (!accepted.ok()) continue;
+    if (open_connections() >= options_.max_conns) {
+      rejected_.fetch_add(1, std::memory_order_relaxed);
+      (void)accepted.value().WriteAll(options_.refusal);
+      continue;  // the socket closes here
+    }
+    if (!SetNonBlocking(accepted.value().fd()).ok()) continue;
+    auto conn = std::make_shared<Conn>();
+    conn->id = next_id_.fetch_add(1);
+    conn->sock = std::move(accepted).value();
+    Loop* loop = loops_[next_loop_.fetch_add(1) % loops_.size()].get();
+    conn->loop = loop;
+    adopted_.fetch_add(1, std::memory_order_relaxed);
+    // No loop can see the connection yet, so its greeting is the first
+    // output queued and its state exists before the first on_data.
+    if (callbacks_.on_open && !callbacks_.on_open(conn->id, &conn->out)) {
+      conn->close_after_flush = true;
+    }
+    {
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      conns_.emplace(conn->id, conn);
+    }
+    {
+      std::lock_guard<std::mutex> lock(loop->mu);
+      loop->conns.emplace(conn->id, conn);
+    }
+    struct epoll_event ev;
+    // Edge-triggered both ways, armed once: EPOLLOUT edges fire only on
+    // full->writable transitions, so an idle connection costs nothing.
+    // Arming reports the fresh socket writable, which sends the greeting.
+    ev.events = EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP;
+    ev.data.u64 = conn->id;
+    if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, conn->sock.fd(), &ev) <
+        0) {
+      Destroy(loop, conn, /*evicted=*/false);
+    }
   }
-  GMINE_RETURN_IF_ERROR(SetNonBlocking(sock.fd()));
-  auto conn = std::make_shared<Conn>();
-  conn->id = next_id_.fetch_add(1);
-  conn->sock = std::move(sock);
-  Loop* loop =
-      loops_[next_loop_.fetch_add(1) % loops_.size()].get();
-  conn->loop = loop;
-
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.emplace(conn->id, conn);
-  }
-  {
-    std::lock_guard<std::mutex> lock(loop->mu);
-    loop->conns.emplace(conn->id, conn);
-  }
-  struct epoll_event ev;
-  // Edge-triggered both ways, armed once: EPOLLOUT edges fire only on
-  // full->writable transitions, so an idle connection costs nothing.
-  ev.events = EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP;
-  ev.data.u64 = conn->id;
-  if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, conn->sock.fd(), &ev) <
-      0) {
-    const Status st = Status::IOError(
-        StrFormat("epoll_ctl(add): %s", ::strerror(errno)));
-    std::lock_guard<std::mutex> g1(conns_mu_);
-    std::lock_guard<std::mutex> g2(loop->mu);
-    conns_.erase(conn->id);
-    loop->conns.erase(conn->id);
-    return st;
-  }
-  adopted_.fetch_add(1, std::memory_order_relaxed);
-  return conn->id;
 }
 
 bool Reactor::Send(ConnId id, std::string_view data) {
@@ -228,15 +258,16 @@ void Reactor::Resume(ConnId id, std::function<bool()> fn) {
 void Reactor::LoopThread(Loop* loop) {
   constexpr int kMaxEvents = 128;
   struct epoll_event events[kMaxEvents];
+  t_loop = loop;
   while (!stopping_.load()) {
     const int n = ::epoll_wait(loop->epoll_fd, events, kMaxEvents,
                                options_.poll_interval_ms);
     for (int i = 0; i < n && !stopping_.load(); ++i) {
       const ConnId id = events[i].data.u64;
       if (id == 0) {
-        uint64_t drain = 0;
-        while (::read(loop->event_fd, &drain, sizeof(drain)) > 0) {
-        }
+        uint64_t drain = 0;  // one read resets the counter
+        ssize_t ignored = ::read(loop->event_fd, &drain, sizeof(drain));
+        (void)ignored;
         continue;
       }
       std::shared_ptr<Conn> conn;
@@ -259,30 +290,30 @@ void Reactor::LoopThread(Loop* loop) {
     }
     // Flush pass for connections kicked by Send/Close, then the
     // continuations of resumed connections (their replies are already
-    // queued, so they flush first).
-    std::vector<std::shared_ptr<Conn>> kicked;
-    std::vector<std::pair<std::shared_ptr<Conn>, std::function<bool()>>>
-        resumed;
-    {
-      std::lock_guard<std::mutex> lock(loop->mu);
-      kicked.swap(loop->kicked);
-      resumed.swap(loop->resumed);
-    }
-    for (const auto& conn : kicked) {
-      if (stopping_.load()) break;
-      (void)HandleWritable(loop, conn);
-    }
-    for (auto& [conn, fn] : resumed) {
-      if (stopping_.load()) break;
+    // queued, so they flush first). What these queue from this thread
+    // woke nobody, so repeat until nothing is left.
+    for (;;) {
+      std::vector<std::shared_ptr<Conn>> kicked;
+      std::vector<std::pair<std::shared_ptr<Conn>, std::function<bool()>>>
+          resumed;
       {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        if (conn->dead) continue;
+        std::lock_guard<std::mutex> lock(loop->mu);
+        kicked.swap(loop->kicked);
+        resumed.swap(loop->resumed);
       }
-      if (!fn()) continue;  // paused again
-      conn->paused = false;
-      // Edge-triggered: bytes that arrived while paused raised their
-      // edge already, so read them now.
-      HandleReadable(loop, conn);
+      if (stopping_.load() || (kicked.empty() && resumed.empty())) break;
+      for (const auto& conn : kicked) (void)HandleWritable(loop, conn);
+      for (auto& [conn, fn] : resumed) {
+        {
+          std::lock_guard<std::mutex> lock(conn->mu);
+          if (conn->dead) continue;
+        }
+        if (!fn()) continue;  // paused again
+        conn->paused = false;
+        // Edge-triggered: bytes that arrived while paused raised their
+        // edge already, so read them now.
+        HandleReadable(loop, conn);
+      }
     }
   }
 
@@ -303,8 +334,7 @@ void Reactor::LoopThread(Loop* loop) {
 void Reactor::HandleReadable(Loop* loop,
                              const std::shared_ptr<Conn>& conn) {
   if (conn->paused) return;  // Resume reads what waits
-  std::string buf;
-  buf.resize(options_.read_chunk_bytes);
+  std::string& buf = loop->read_buf;
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(conn->mu);
@@ -324,8 +354,14 @@ void Reactor::HandleReadable(Loop* loop,
       }
       continue;  // edge-triggered: drain until EAGAIN
     }
-    if (n == 0) {  // peer closed
-      Destroy(loop, conn, /*evicted=*/false);
+    if (n == 0) {
+      // The peer closed or half-closed: it sends nothing more, but may
+      // still read, so the replies already queued flush first.
+      {
+        std::lock_guard<std::mutex> lock(conn->mu);
+        conn->close_after_flush = true;
+      }
+      (void)HandleWritable(loop, conn);
       return;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) return;
@@ -401,6 +437,7 @@ void Reactor::Destroy(Loop* loop, const std::shared_ptr<Conn>& conn,
 ReactorStats Reactor::stats() const {
   ReactorStats out;
   out.adopted = adopted_.load(std::memory_order_relaxed);
+  out.rejected = rejected_.load(std::memory_order_relaxed);
   out.closed = closed_.load(std::memory_order_relaxed);
   out.evicted_slow = evicted_slow_.load(std::memory_order_relaxed);
   out.bytes_in = bytes_in_.load(std::memory_order_relaxed);

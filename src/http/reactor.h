@@ -1,11 +1,16 @@
-// The gateway's event engine: a small pool of epoll event loops, each
-// edge-triggered and non-blocking, so one process holds tens of
+// The event engine of both network front ends: the gateway's HTTP and
+// WebSocket (http::Gateway, docs/HTTP.md) and the TCP line protocol
+// (net::Server, docs/SERVER.md). A small pool of epoll event loops,
+// each edge-triggered and non-blocking, so one process holds tens of
 // thousands of idle connections at the cost of a few file descriptors
-// per loop — not a thread per connection (docs/HTTP.md).
+// per loop — not a thread per connection.
 //
 // Division of labor:
-//   * the owner (http::Gateway) accepts sockets and Adopt()s them; the
-//     reactor round-robins them across its loops;
+//   * the accept thread owns the listener: it refuses connections past
+//     the cap with the front end's own refusal bytes, runs on_open so
+//     the front end's state (and greeting) exist before the loop can
+//     see the connection, and round-robins the socket across the loops;
+//     each poll tick with nothing to accept runs on_tick;
 //   * all protocol work happens in callbacks on the owning loop's
 //     thread — on_data hands up whatever bytes arrived, on_closed is
 //     the one and final teardown notification for a connection, so
@@ -20,8 +25,12 @@
 //     socket writes. A peer that stops reading fills the buffer and is
 //     evicted (closed, on_closed fired) — slow clients cannot pin
 //     memory;
-//   * Stop() is a graceful drain: each loop makes a final non-blocking
-//     flush attempt per connection, then closes everything and joins.
+//   * a peer's EOF (a close or a half-close) ends reading, not
+//     writing: every reply queued before it, or by a paused
+//     connection's worker, still flushes, then the connection closes;
+//   * Stop() is a graceful drain: stop accepting, then each loop makes
+//     a final non-blocking flush attempt per connection, closes
+//     everything and joins.
 
 #ifndef GMINE_HTTP_REACTOR_H_
 #define GMINE_HTTP_REACTOR_H_
@@ -48,17 +57,25 @@ using ConnId = uint64_t;
 struct ReactorOptions {
   /// Event-loop threads; connections are assigned round-robin.
   int threads = 1;
+  /// TCP port on 127.0.0.1; 0 picks an ephemeral port (port()).
+  uint16_t port = 0;
+  /// listen(2) backlog.
+  int backlog = 64;
+  /// Connections open at once; the accept thread refuses more.
+  size_t max_conns = 10000;
+  /// What a refused connection reads before it is closed.
+  std::string refusal;
   /// Output buffered per connection before it is evicted as a slow
   /// client.
   size_t max_write_buffer_bytes = 256 * 1024;
-  /// recv() chunk size.
-  size_t read_chunk_bytes = 16 * 1024;
-  /// epoll_wait timeout (shutdown-check granularity).
+  /// epoll_wait and accept-poll timeout: the shutdown-check and
+  /// on_tick granularity.
   int poll_interval_ms = 100;
 };
 
 struct ReactorStats {
   uint64_t adopted = 0;
+  uint64_t rejected = 0;      // refused at max_conns
   uint64_t closed = 0;        // connections fully torn down
   uint64_t evicted_slow = 0;  // closed for an overfull write buffer
   uint64_t bytes_in = 0;
@@ -69,12 +86,20 @@ struct ReactorStats {
 class Reactor {
  public:
   struct Callbacks {
+    /// A connection was accepted; runs on the accept thread before its
+    /// loop is armed, so before any other callback for `id`. Whatever
+    /// it appends to `*greeting` is the first output the peer reads.
+    /// Returning false closes the connection once that is flushed.
+    std::function<bool(ConnId, std::string* greeting)> on_open;
     /// Bytes arrived on `id`; runs on the owning loop thread. Returns
     /// false to pause reading `id` until Resume().
     std::function<bool(ConnId, std::string_view)> on_data;
     /// `id` is gone (peer close, error, eviction or Stop); runs on the
     /// owning loop thread, exactly once per adopted connection.
     std::function<void(ConnId)> on_closed;
+    /// Runs on the accept thread whenever its poll finds nothing to
+    /// accept, about every poll_interval_ms while the listener is quiet.
+    std::function<void()> on_tick;
   };
 
   Reactor(ReactorOptions options, Callbacks callbacks);
@@ -83,16 +108,21 @@ class Reactor {
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// Spawns the loop threads. Call once, before Adopt.
+  /// Binds the listener and spawns the loop threads and the accept
+  /// thread. Fails (IOError) when the port is taken; call once.
   Status Start();
 
-  /// Graceful drain: final flush attempt per connection, close all
-  /// (on_closed fires for each), join the loops. Idempotent.
-  void Stop();
+  /// The bound port (valid after a successful Start).
+  uint16_t port() const { return port_; }
 
-  /// Takes ownership of an accepted socket, makes it non-blocking and
-  /// registers it with a loop. Thread-safe.
-  gmine::Result<ConnId> Adopt(net::Socket sock);
+  /// Stops accepting: joins the accept thread and closes the listener.
+  /// Live connections are served on. Idempotent.
+  void StopAccepting();
+
+  /// Graceful drain: stop accepting, final flush attempt per
+  /// connection, close all (on_closed fires for each), join the loops.
+  /// Idempotent.
+  void Stop();
 
   /// Queues bytes for `id` and wakes its loop. False when the id is
   /// unknown/closing or the write buffer overflowed (the connection is
@@ -116,6 +146,8 @@ class Reactor {
   struct Conn;
   struct Loop;
 
+  /// Accepts, refuses past the cap, and hands sockets to the loops.
+  void AcceptLoop();
   void LoopThread(Loop* loop);
   void HandleReadable(Loop* loop, const std::shared_ptr<Conn>& conn);
   /// Flushes queued output; closes when drained and close-requested.
@@ -132,6 +164,11 @@ class Reactor {
   std::atomic<bool> stopping_{false};
   bool stopped_ = false;  // Stop() completed (caller thread)
 
+  net::Socket listener_;
+  uint16_t port_ = 0;
+  std::atomic<bool> accepting_{false};
+  std::thread accept_thread_;
+
   /// id -> connection, for Send/Close from any thread.
   mutable std::mutex conns_mu_;
   std::unordered_map<ConnId, std::shared_ptr<Conn>> conns_;
@@ -139,6 +176,7 @@ class Reactor {
   std::atomic<size_t> next_loop_{0};
 
   std::atomic<uint64_t> adopted_{0};
+  std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> closed_{0};
   std::atomic<uint64_t> evicted_slow_{0};
   std::atomic<uint64_t> bytes_in_{0};

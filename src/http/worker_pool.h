@@ -1,7 +1,8 @@
-// The gateway's worker pool (docs/HTTP.md): a fixed set of threads
-// that run queued tasks in FIFO order. REST requests that lease a store
-// and mine jobs run here, so a long query or kernel never stalls the
-// reactor's event loops.
+// The front ends' worker pool (docs/HTTP.md): a fixed set of threads
+// that run queued tasks in FIFO order. The gateway's REST requests that
+// lease a store and its mine jobs run here, and so do the line
+// protocol's `query` and `edit apply` (net::Server), so a long query,
+// kernel or group commit never stalls the reactor's event loops.
 //
 // A new task wakes the most recently idle worker, so a serial stream of
 // requests stays on one thread: its caches stay warm, and only its
@@ -11,10 +12,10 @@
 // working set: the gateway's peak RSS rose from 26 to 33 MB on a 4-CPU
 // host, where this order keeps it at 25 MB.
 //
-// The queue itself is unbounded; its callers bound it. Each HTTP
-// connection has at most one request in the pool (the connection stops
-// reading until that request is answered), connections are capped, and
-// each job holds a catalog session lease under the store's quota.
+// The queue itself is unbounded; its callers bound it. Each connection
+// has at most one request in the pool (the connection stops reading
+// until that request is answered), connections are capped, and each
+// job holds a catalog session lease under the store's quota.
 
 #ifndef GMINE_HTTP_WORKER_POOL_H_
 #define GMINE_HTTP_WORKER_POOL_H_

@@ -7,8 +7,8 @@
 #include "net/session_ops.h"
 #include "query/executor.h"
 #include "storage/buffer_pool.h"
+#include "util/parallel.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace gmine::net {
 
@@ -25,17 +25,30 @@ int64_t SteadyMicros() {
 /// to tools/check_docs_cli.sh.)
 constexpr char kGreeting[] = "OK gmine-server protocol=1\n";
 
+/// The first word of an EDIT op's argument ("apply", "add-edge", ...).
+std::string_view EditSubOp(const Request& request) {
+  return std::string_view(request.arg).substr(0, request.arg.find(' '));
+}
+
+/// `edit apply` blocks until its group commits and `query` may run a
+/// whole-store kernel: both run on a worker, off the event loop.
+bool RunsOnWorker(const Request& request) {
+  return request.op == RequestOp::kQuery ||
+         (request.op == RequestOp::kEdit && EditSubOp(request) == "apply");
+}
+
 }  // namespace
 
 Server::Server(core::SessionManager* pool, ServerOptions options,
                core::Prefetcher* prefetcher)
     : pool_(pool),
       prefetcher_(prefetcher),
-      options_(options) {
+      options_(options),
+      // Sized like the gateway's: at least two, so one long kernel
+      // cannot hold the only worker.
+      workers_(std::max(2, MaxParallelism())) {
   if (options_.max_clients < 1) options_.max_clients = 1;
-  if (options_.worker_threads <= 0) {
-    options_.worker_threads = options_.max_clients;
-  }
+  options_.worker_threads = ResolveThreads(options_.worker_threads);
   if (options_.poll_interval_ms < 1) options_.poll_interval_ms = 1;
 }
 
@@ -45,21 +58,41 @@ Status Server::Start() {
   if (started_.exchange(true)) {
     return Status::InvalidArgument("server already started");
   }
-  GMINE_ASSIGN_OR_RETURN(
-      listener_, ListenTcp(options_.port, options_.backlog, &port_));
+  http::ReactorOptions ropts;
+  ropts.threads = options_.worker_threads;
+  ropts.port = options_.port;
+  ropts.backlog = options_.backlog;
+  ropts.max_conns = static_cast<size_t>(options_.max_clients);
+  ropts.refusal = "ERR Aborted server at capacity\n";
+  // Bounds what a peer that stops reading can queue: one response line
+  // of the largest size a client accepts.
+  ropts.max_write_buffer_bytes = kMaxResponseLineBytes;
+  ropts.poll_interval_ms = options_.poll_interval_ms;
+  http::Reactor::Callbacks callbacks;
+  callbacks.on_open = [this](http::ConnId id, std::string* greeting) {
+    return OnOpen(id, greeting);
+  };
+  callbacks.on_data = [this](http::ConnId id, std::string_view data) {
+    return OnData(id, data);
+  };
+  callbacks.on_closed = [this](http::ConnId id) { OnClosed(id); };
+  // Session-driven idle reaping: the pool closes sessions idle past its
+  // idle_timeout_micros (no-op when 0), and the close hook below closes
+  // the owning connections.
+  callbacks.on_tick = [this] { (void)pool_->CloseIdleSessions(); };
+  reactor_ = std::make_unique<http::Reactor>(ropts, std::move(callbacks));
   // Connection-scoped session lifetimes: when the pool reaps or evicts
   // a session owned by one of our connections, close that connection.
+  // Our own teardown's CloseSession finds it unregistered already.
   pool_->set_on_session_closed(
-      [this](core::SessionId id, core::SessionCloseReason reason) {
-        OnSessionClosed(id, reason);
+      [this](core::SessionId id, core::SessionCloseReason) {
+        std::lock_guard<std::mutex> lock(conns_mu_);
+        auto it = session_to_conn_.find(id);
+        if (it != session_to_conn_.end()) reactor_->Close(it->second);
       });
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  housekeeper_thread_ = std::thread([this] { HousekeeperLoop(); });
-  workers_.reserve(static_cast<size_t>(options_.worker_threads));
-  for (int i = 0; i < options_.worker_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-  return Status::OK();
+  Status started = reactor_->Start();
+  if (!started.ok()) pool_->set_on_session_closed({});
+  return started;
 }
 
 void Server::RequestShutdown() {
@@ -78,52 +111,29 @@ void Server::WaitUntilShutdown() {
 void Server::Stop() {
   if (!started_.load() || stopped_) return;
   stopped_ = true;
-  {
-    // stopping_ must flip under queue_mu_: a worker that just evaluated
-    // the wait predicate would otherwise miss this notify forever.
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    stopping_.store(true);
-  }
   RequestShutdown();
-  queue_cv_.notify_all();
-  listener_.ShutdownBoth();
-  {
-    // Wake every blocked worker read; teardown happens on the workers.
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& [id, conn] : conns_) {
-      conn->kill.store(true);
-      conn->sock.ShutdownBoth();
-    }
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (housekeeper_thread_.joinable()) housekeeper_thread_.join();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  // Admitted-but-never-served connections still hold sessionless
-  // sockets; drop them.
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    for (auto& conn : pending_) {
-      (void)conn->sock.WriteAll("ERR Aborted server shutting down\n");
-      conn->sock.Close();
-    }
-    // Dropped pending connections still count as closed so the final
-    // stats keep accepted == closed when nothing leaked.
-    if (!pending_.empty()) {
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      stats_.closed += pending_.size();
-    }
-    pending_.clear();
-  }
+  // The ops on workers finish and queue their replies (lines parsed
+  // from here on are refused); the reactor then flushes and closes
+  // every connection, whose on_closed releases its session.
+  reactor_->StopAccepting();
+  workers_.Drain();
+  reactor_->Stop();
   pool_->set_on_session_closed({});
-  listener_.Close();
 }
 
 ServerStats Server::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ServerStats out = stats_;
-  out.active_now = active_.load();
+  ServerStats out;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    out = stats_;
+  }
+  if (reactor_ != nullptr) {
+    const http::ReactorStats reactor = reactor_->stats();
+    out.accepted = reactor.adopted;
+    out.rejected = reactor.rejected;
+    out.closed = reactor.closed;
+    out.active_now = reactor.open_now;
+  }
   return out;
 }
 
@@ -147,191 +157,131 @@ std::vector<ConnectionInfo> Server::connections() const {
   return out;
 }
 
-void Server::OnSessionClosed(core::SessionId id,
-                             core::SessionCloseReason reason) {
-  // A connection-owned session left the pool (idle reap, eviction, or
-  // our own teardown close). Shut the socket down so its worker wakes
-  // and runs teardown; for the teardown-triggered call the connection
-  // is already unregistered and this is a no-op.
-  (void)reason;
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  auto it = session_to_conn_.find(id);
-  if (it == session_to_conn_.end()) return;
-  auto conn_it = conns_.find(it->second);
-  if (conn_it == conns_.end()) return;
-  conn_it->second->kill.store(true);
-  conn_it->second->sock.ShutdownBoth();
-}
-
-void Server::AcceptLoop() {
-  while (!stopping_.load()) {
-    auto readable = listener_.WaitReadable(options_.poll_interval_ms);
-    if (!readable.ok()) break;
-    if (!readable.value()) continue;
-    auto accepted = AcceptConnection(listener_);
-    if (!accepted.ok()) {
-      if (accepted.status().IsAborted()) continue;  // spurious wakeup
-      break;  // listener closed (shutdown) or fatal
-    }
-    // active_ moves pending -> active under queue_mu_ (WorkerLoop), so
-    // reading both under the same lock makes the cap check atomic
-    // against the handoff.
-    size_t admitted = 0;
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      admitted = active_.load() + pending_.size();
-    }
-    if (admitted >= static_cast<size_t>(options_.max_clients)) {
-      (void)accepted.value().WriteAll("ERR Aborted server at capacity\n");
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.rejected;
-      continue;
-    }
-    auto conn = std::make_shared<Conn>();
-    conn->id = next_conn_id_.fetch_add(1);
-    conn->sock = std::move(accepted).value();
-    conn->last_active.store(SteadyMicros());
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.accepted;
-    }
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      pending_.push_back(std::move(conn));
-    }
-    queue_cv_.notify_one();
-  }
-}
-
-void Server::HousekeeperLoop() {
-  while (!stopping_.load()) {
-    std::unique_lock<std::mutex> lock(shutdown_mu_);
-    shutdown_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.poll_interval_ms),
-        [this] { return stopping_.load(); });
-    lock.unlock();
-    if (stopping_.load()) return;
-    // Session-driven idle reaping: the pool closes sessions idle past
-    // its idle_timeout_micros (no-op when 0), and the close hook above
-    // tears the owning connections down.
-    (void)pool_->CloseIdleSessions();
-  }
-}
-
-void Server::WorkerLoop() {
-  while (true) {
-    std::shared_ptr<Conn> conn;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] {
-        return stopping_.load() || !pending_.empty();
-      });
-      if (stopping_.load()) return;
-      conn = std::move(pending_.front());
-      pending_.pop_front();
-      // Become active before queue_mu_ drops so the connection is never
-      // invisible to the accept thread's cap check.
-      active_.fetch_add(1);
-    }
-    ServeConnection(conn);
-  }
-}
-
-void Server::ServeConnection(const std::shared_ptr<Conn>& conn) {
-  // The caller (WorkerLoop) already counted this connection active.
+bool Server::OnOpen(http::ConnId id, std::string* greeting) {
   auto session = pool_->OpenSession();
   if (!session.ok()) {
     Response rejected;
     rejected.status = session.status();
-    (void)conn->sock.WriteAll(EncodeResponse(rejected, /*json=*/false));
-    conn->sock.Close();
-    active_.fetch_sub(1);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.closed;
-    return;
+    *greeting = EncodeResponse(rejected, /*json=*/false);
+    return false;
   }
+  auto conn = std::make_shared<Conn>();
+  conn->id = id;
   conn->session = session.value();
+  conn->last_active.store(SteadyMicros());
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_[conn->id] = conn;
-    session_to_conn_[conn->session] = conn->id;
+    conns_[id] = conn;
+    session_to_conn_[conn->session] = id;
   }
-  (void)conn->sock.WriteAll(kGreeting);
+  *greeting = kGreeting;
+  return true;
+}
 
-  LineReader reader;
-  char buf[4096];
-  bool close_conn = false;
-  while (!close_conn && !stopping_.load() && !conn->kill.load()) {
-    auto read = conn->sock.ReadSome(buf, sizeof(buf),
-                                    options_.poll_interval_ms);
-    if (!read.ok() || read.value().eof) break;
-    if (read.value().timed_out) continue;
-    Status fed = reader.Feed(std::string_view(buf, read.value().bytes));
-    if (!fed.ok()) {
-      // Oversized line: the stream is unrecoverable, answer once and
-      // drop the connection.
-      Response poisoned;
-      poisoned.status = fed;
-      (void)conn->sock.WriteAll(EncodeResponse(poisoned, /*json=*/false));
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.errors;
-      break;
-    }
-    std::string line;
-    while (!close_conn && reader.NextLine(&line)) {
-      if (TrimWhitespace(line).empty()) continue;  // tolerate bare enters
-      StopWatch watch;
-      Response response;
-      bool json = false;
-      bool request_shutdown = false;
-      auto request = ParseRequest(line);
-      if (!request.ok()) {
-        response.status = request.status();
-      } else {
-        json = request.value().json;
-        response = Execute(request.value(), *conn, &close_conn,
-                           &request_shutdown);
-      }
-      const int64_t micros = watch.ElapsedMicros();
-      conn->requests.fetch_add(1);
-      conn->last_active.store(SteadyMicros());
-      // Keepalive: connection-level ops (stats, edit) run outside
-      // WithSession and would otherwise let an actively
-      // probing client's session go "idle" and be reaped under it. A
-      // false return means the pool no longer knows the session (e.g.
-      // reaped in the window before this connection registered for the
-      // close hook) — the connection is dead weight, drop it.
-      if (!pool_->TouchSession(conn->session)) close_conn = true;
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.requests;
-        if (!response.status.ok()) ++stats_.errors;
-        stats_.total_latency_micros += static_cast<uint64_t>(micros);
-        if (static_cast<uint64_t>(micros) > stats_.max_latency_micros) {
-          stats_.max_latency_micros = static_cast<uint64_t>(micros);
-        }
-      }
-      if (!conn->sock.WriteAll(EncodeResponse(response, json)).ok()) {
-        close_conn = true;
-      }
-      if (request_shutdown) RequestShutdown();
-    }
-  }
-
-  // Teardown: unregister first so the close hook below no-ops for our
-  // own CloseSession, then release the session and the socket.
+void Server::OnClosed(http::ConnId id) {
+  std::shared_ptr<Conn> conn;
   {
+    // Unregister first so the close hook below no-ops for our own
+    // CloseSession.
     std::lock_guard<std::mutex> lock(conns_mu_);
+    auto it = conns_.find(id);
+    if (it == conns_.end()) return;  // its session never opened
+    conn = std::move(it->second);
+    conns_.erase(it);
     session_to_conn_.erase(conn->session);
-    conns_.erase(conn->id);
   }
   // NotFound here means the pool already reaped the session (idle
   // timeout or eviction) — that is the expected hand-off, not a leak.
   (void)pool_->CloseSession(conn->session);
-  conn->sock.Close();
-  active_.fetch_sub(1);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.closed;
+}
+
+bool Server::OnData(http::ConnId id, std::string_view data) {
+  std::shared_ptr<Conn> conn;
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    auto it = conns_.find(id);
+    if (it == conns_.end()) return false;  // refused; closing
+    conn = it->second;
+  }
+  Status fed = conn->reader.Feed(data);
+  if (!fed.ok()) {
+    // Oversized line: the stream is unrecoverable, answer once and
+    // drop the connection.
+    Response poisoned;
+    poisoned.status = fed;
+    (void)reactor_->Send(id, EncodeResponse(poisoned, /*json=*/false));
+    reactor_->Close(id);
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.errors;
+    return false;
+  }
+  return ServeLines(conn);
+}
+
+bool Server::ServeLines(const std::shared_ptr<Conn>& conn) {
+  std::string line;
+  while (conn->reader.NextLine(&line)) {
+    if (TrimWhitespace(line).empty()) continue;  // tolerate bare enters
+    StopWatch watch;
+    gmine::Result<Request> request = ParseRequest(line);
+    if (request.ok() && RunsOnWorker(request.value())) {
+      // The worker answers, then hands the connection back to its loop,
+      // which serves the lines pipelined behind this one.
+      const bool submitted = workers_.Submit(
+          [this, conn, request = std::move(request).value(), watch] {
+            if (Answer(*conn, request, watch)) {
+              reactor_->Resume(conn->id,
+                               [this, conn] { return ServeLines(conn); });
+            }
+          });
+      if (submitted) return false;
+      // The pool drains only in Stop(): refuse the op and close.
+      (void)Answer(*conn, Status::Aborted("server shutting down"), watch);
+      reactor_->Close(conn->id);
+      return false;
+    }
+    if (!Answer(*conn, request, watch)) return false;
+  }
+  return true;
+}
+
+bool Server::Answer(Conn& conn, const gmine::Result<Request>& request,
+                    const StopWatch& watch) {
+  Response response;
+  bool json = false;
+  bool close_conn = false;
+  bool request_shutdown = false;
+  if (!request.ok()) {
+    response.status = request.status();
+  } else {
+    json = request.value().json;
+    response = Execute(request.value(), conn, &close_conn, &request_shutdown);
+  }
+  const int64_t micros = watch.ElapsedMicros();
+  conn.requests.fetch_add(1);
+  conn.last_active.store(SteadyMicros());
+  // Keepalive: connection-level ops (stats, edit) run outside
+  // WithSession and would otherwise let an actively
+  // probing client's session go "idle" and be reaped under it. A
+  // false return means the pool no longer knows the session (e.g.
+  // reaped in the window before this connection registered for the
+  // close hook) — the connection is dead weight, drop it.
+  if (!pool_->TouchSession(conn.session)) close_conn = true;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.requests;
+    if (!response.status.ok()) ++stats_.errors;
+    stats_.total_latency_micros += static_cast<uint64_t>(micros);
+    if (static_cast<uint64_t>(micros) > stats_.max_latency_micros) {
+      stats_.max_latency_micros = static_cast<uint64_t>(micros);
+    }
+  }
+  if (!reactor_->Send(conn.id, EncodeResponse(response, json))) {
+    close_conn = true;
+  }
+  if (close_conn) reactor_->Close(conn.id);
+  if (request_shutdown) RequestShutdown();
+  return !close_conn;
 }
 
 Response Server::Execute(const Request& request, Conn& conn,
@@ -406,8 +356,7 @@ Response Server::ExecuteEdit(const Request& request, Conn& conn) {
         Status::Internal("writable server has no edit hook wired");
     return response;
   }
-  const std::string_view sub =
-      std::string_view(request.arg).substr(0, request.arg.find(' '));
+  const std::string_view sub = EditSubOp(request);
   if (sub == "abort") {
     response.text = StrFormat(
         "aborted ops=%zu",

@@ -5,22 +5,24 @@
 // request line executes under WithSession, so any number of clients
 // navigate one read-only store concurrently without sharing focus.
 //
-// Thread model
-//   * one accept thread: polls the listener, enforces the connection
-//     cap, enqueues accepted sockets;
-//   * a fixed worker pool (`worker_threads`): each worker serves one
-//     connection at a time, request by request, until the peer closes;
-//     excess accepted connections wait in the queue;
-//   * one housekeeper thread: periodically calls the pool's
-//     CloseIdleSessions — idle-client reaping is *session*-driven: when
-//     the pool reaps a connection's session, the manager's close hook
-//     fires and the server shuts that socket down, waking its worker.
+// Thread model: the gateway's event engine (http/reactor.h) with a
+// line-protocol handler.
+//   * `worker_threads` event loops frame request lines and answer them
+//     inline, as the gateway's WebSocket does;
+//   * `edit apply` (it waits for its group commit) and `query` (it may
+//     run a whole-store kernel) run on a worker pool. Their connection
+//     stops reading until the worker has queued the reply and resumed
+//     it, so replies leave each connection in request order;
+//   * the reactor's accept thread enforces the connection cap and, on
+//     every poll tick, calls the pool's CloseIdleSessions. Idle-client
+//     reaping is *session*-driven: when the pool reaps a connection's
+//     session, the manager's close hook closes that connection.
 //
 // Shutdown: Stop() (or a client's SHUTDOWN op followed by the host
-// calling Stop) stops accepting, wakes every worker, closes every
-// connection after its in-flight request, closes every
-// connection-owned session (no leaks — session_pool stats prove it),
-// and joins all threads. Stop is idempotent.
+// calling Stop) stops accepting, lets the ops on workers finish, flushes
+// and closes every connection, closes every connection-owned session
+// (no leaks — session_pool stats prove it), and joins all threads. Stop
+// is idempotent.
 
 #ifndef GMINE_NET_SERVER_H_
 #define GMINE_NET_SERVER_H_
@@ -28,21 +30,22 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "core/prefetcher.h"
 #include "core/session_manager.h"
 #include "graph/graph_edit.h"
+#include "http/reactor.h"
+#include "http/worker_pool.h"
 #include "net/protocol.h"
-#include "net/socket.h"
 #include "util/status.h"
+#include "util/timer.h"
 
 namespace gmine::net {
 
@@ -61,13 +64,13 @@ struct ServerOptions {
   uint16_t port = 0;
   /// listen(2) backlog.
   int backlog = 64;
-  /// Connections admitted at once (serving + queued); more get an
-  /// "ERR Aborted server at capacity" line and an immediate close.
+  /// Connections admitted at once; more get an "ERR Aborted server at
+  /// capacity" line and an immediate close.
   int max_clients = 32;
-  /// Worker threads serving connections; 0 means max_clients (every
-  /// admitted connection gets a worker immediately).
+  /// Event loops serving connections; 0 means one per core
+  /// (ResolveThreads, like every other `threads` knob).
   int worker_threads = 0;
-  /// Granularity of shutdown checks, idle sweeps and read polls.
+  /// Granularity of shutdown checks and idle sweeps.
   int poll_interval_ms = 50;
   /// Best-effort child-leaf prefetch on focus changes (needs a
   /// Prefetcher passed to the constructor; see docs/SERVER.md).
@@ -76,21 +79,21 @@ struct ServerOptions {
   size_t prefetch_fanout = 8;
   /// Extra host-supplied section appended to the STATS response (e.g.
   /// `gmine server --wal on` reports the write-ahead log through it).
-  /// Called from worker threads — must be thread-safe. Empty result =
+  /// Called from the event loops — must be thread-safe. Empty result =
   /// nothing appended.
   std::function<std::string()> extra_stats;
   /// Accept EDIT ops (remote mutation). Requires `apply_edit` and
   /// `tip_nodes`; when false every EDIT answers ERR NotSupported.
   bool writable = false;
-  /// Commits one closed batch and returns its ack. Called from worker
-  /// threads — must be thread-safe (`gmine server` serializes through
-  /// the group-commit queue with --wal on, a mutex otherwise).
+  /// Commits one closed batch and returns its ack. Called from the
+  /// worker pool — must be thread-safe (`gmine server` serializes
+  /// through the group-commit queue with --wal on, a mutex otherwise).
   std::function<gmine::Result<EditAck>(graph::GraphEdit,
                                        std::vector<std::string>)>
       apply_edit;
   /// Node count of the current graph tip — the base new batches build
-  /// against (provisional ids start here). Same thread-safety contract
-  /// as apply_edit.
+  /// against (provisional ids start here). Called from the event loops;
+  /// same thread-safety contract as apply_edit.
   std::function<uint32_t()> tip_nodes;
 };
 
@@ -103,7 +106,7 @@ struct ServerStats {
   uint64_t errors = 0;     // requests answered with ERR
   uint64_t total_latency_micros = 0;  // summed request service time
   uint64_t max_latency_micros = 0;    // slowest single request
-  size_t active_now = 0;   // connections currently being served
+  size_t active_now = 0;   // connections open right now
 };
 
 /// Point-in-time description of one live connection.
@@ -125,12 +128,12 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens and spawns the accept/worker/housekeeper threads.
+  /// Binds, listens and starts the event loops and the accept thread.
   /// Fails (IOError) when the port is taken; call at most once.
   Status Start();
 
   /// The bound port (valid after a successful Start).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return reactor_ ? reactor_->port() : 0; }
 
   /// Asks the host to stop: wakes WaitUntilShutdown. Also triggered by
   /// a client's SHUTDOWN op. Does not join threads — call Stop() next.
@@ -151,39 +154,50 @@ class Server {
   std::vector<ConnectionInfo> connections() const;
 
  private:
+  /// Per-connection protocol state. The owning loop thread touches the
+  /// reader and the edit batch; while one of the connection's ops runs
+  /// on a worker, the connection is paused and that worker is their
+  /// only user.
   struct Conn {
-    uint64_t id = 0;
-    Socket sock;
+    http::ConnId id = 0;
     core::SessionId session = 0;
+    LineReader reader;
     std::atomic<uint64_t> requests{0};
     std::atomic<int64_t> last_active{0};     // steady micros
-    std::atomic<bool> kill{false};           // hook/Stop: close asap
-    // Open EDIT batch (writable servers). Only the worker currently
-    // serving this connection touches it, so no locking.
+    // Open EDIT batch (writable servers).
     std::unique_ptr<graph::GraphEdit> pending_edit;
     std::vector<std::string> pending_labels;
   };
 
-  void AcceptLoop();
-  void WorkerLoop();
-  void HousekeeperLoop();
-  void ServeConnection(const std::shared_ptr<Conn>& conn);
+  /// The reactor's callbacks: open the connection's session and queue
+  /// the greeting; frame and serve request lines; release the session.
+  bool OnOpen(http::ConnId id, std::string* greeting);
+  bool OnData(http::ConnId id, std::string_view data);
+  void OnClosed(http::ConnId id);
+  /// Serves the connection's buffered lines in order. Returns false
+  /// when reading must pause: an op went to a worker (which resumes
+  /// the connection) or the connection is closing.
+  bool ServeLines(const std::shared_ptr<Conn>& conn);
+  /// Executes one request, counts it and queues its reply, from a loop
+  /// or a worker. Returns false when the connection closes after it.
+  bool Answer(Conn& conn, const gmine::Result<Request>& request,
+              const StopWatch& watch);
   /// Executes one parsed request: the transport's own ops here, the
   /// rest through the shared session-op dispatcher (net/session_ops.h)
   /// under the connection's session. `*request_shutdown` asks the
-  /// caller to signal shutdown *after* writing the response — signaling
-  /// first would let Stop() cut the socket before the SHUTDOWN op's own
-  /// reply got out.
+  /// caller to signal shutdown *after* queuing the response, so the
+  /// drain in Stop() flushes the SHUTDOWN op's own reply.
   Response Execute(const Request& request, Conn& conn, bool* close_conn,
                    bool* request_shutdown);
   /// EDIT sub-op dispatch (queue mutations, apply/abort the batch).
   Response ExecuteEdit(const Request& request, Conn& conn);
   std::string StatsText(const Conn& conn) const;
-  void OnSessionClosed(core::SessionId id, core::SessionCloseReason reason);
 
   core::SessionManager* pool_;
   core::Prefetcher* prefetcher_;
   ServerOptions options_;
+  std::unique_ptr<http::Reactor> reactor_;
+  http::WorkerPool workers_;
 
   // Cumulative EDIT-op counters (an "edits" section in STATS when
   // writable).
@@ -196,35 +210,22 @@ class Server {
   std::atomic<uint64_t> query_pages_scanned_{0};
   std::atomic<uint64_t> query_pages_pruned_{0};
 
-  Socket listener_;
-  uint16_t port_ = 0;
   std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};
   bool stopped_ = false;  // Stop() ran to completion (main thread only)
-
-  // Accepted connections waiting for a worker.
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<std::shared_ptr<Conn>> pending_;
 
   // Live connections by id, plus a session-id index for the close hook.
   mutable std::mutex conns_mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<Conn>> conns_;
-  std::unordered_map<core::SessionId, uint64_t> session_to_conn_;
+  std::unordered_map<http::ConnId, std::shared_ptr<Conn>> conns_;
+  std::unordered_map<core::SessionId, http::ConnId> session_to_conn_;
 
+  // Request counters; the connection counters come from the reactor.
   mutable std::mutex stats_mu_;
   ServerStats stats_;
-  std::atomic<size_t> active_{0};
-  std::atomic<uint64_t> next_conn_id_{1};
 
   // Shutdown-request signaling (WaitUntilShutdown).
   std::mutex shutdown_mu_;
   std::condition_variable shutdown_cv_;
   bool shutdown_requested_ = false;
-
-  std::thread accept_thread_;
-  std::thread housekeeper_thread_;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace gmine::net

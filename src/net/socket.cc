@@ -37,10 +37,6 @@ void Socket::Close() {
   }
 }
 
-void Socket::ShutdownBoth() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
 gmine::Result<bool> Socket::WaitReadable(int timeout_ms) const {
   if (fd_ < 0) return Status::IOError("WaitReadable on closed socket");
   struct pollfd pfd;

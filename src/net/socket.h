@@ -5,9 +5,9 @@
 // local drivers and port-forwarded clients, not a hardened internet
 // daemon (see docs/SERVER.md).
 //
-// Blocking calls take poll()-based millisecond timeouts so the server's
-// accept loop and per-connection readers can observe a shutdown flag
-// instead of parking forever inside the kernel.
+// Blocking calls take poll()-based millisecond timeouts so the
+// reactor's accept loop and the clients can observe a shutdown flag or
+// a deadline instead of parking forever inside the kernel.
 
 #ifndef GMINE_NET_SOCKET_H_
 #define GMINE_NET_SOCKET_H_
@@ -44,11 +44,6 @@ class Socket {
 
   /// Closes the descriptor; safe to call repeatedly.
   void Close();
-
-  /// shutdown(SHUT_RDWR): wakes any thread blocked on this socket
-  /// without racing against the descriptor's lifetime. No-op when
-  /// already closed.
-  void ShutdownBoth();
 
   /// Waits up to `timeout_ms` for the socket to become readable
   /// (incoming data, EOF, or a pending accept). false on timeout.

@@ -12,6 +12,7 @@
 #include "http/gateway.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -28,6 +29,7 @@
 #include "gtree/builder.h"
 #include "gtree/store.h"
 #include "http/client.h"
+#include "net/socket.h"
 #include "storage/buffer_pool.h"
 #include "util/string_util.h"
 
@@ -132,6 +134,33 @@ bool Eventually(const std::function<bool()>& done) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return false;
+}
+
+/// Sends `wire` on a fresh connection, half-closes it, and returns
+/// everything the gateway sends back until it closes.
+std::string SendAndHalfClose(uint16_t port, const std::string& wire) {
+  auto sock = net::ConnectTcp("127.0.0.1", port);
+  if (!sock.ok() || !sock.value().WriteAll(wire).ok()) return "<send failed>";
+  ::shutdown(sock.value().fd(), SHUT_WR);
+  std::string out;
+  char buf[4096];
+  for (int quiet = 0; quiet < 100;) {
+    auto read = sock.value().ReadSome(buf, sizeof(buf), 100);
+    if (!read.ok() || read.value().eof) return out;
+    if (read.value().timed_out) ++quiet;
+    out.append(buf, read.value().bytes);
+  }
+  return out + "<no close>";
+}
+
+/// Occurrences of `needle` in `haystack`.
+size_t CountOf(const std::string& haystack, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
 }
 
 /// A number in the /stats body's "workers" object; -1 when absent.
@@ -509,6 +538,53 @@ TEST(HttpGatewayTest, MineJobLifecycle) {
   client.Close();
 }
 
+TEST(HttpGatewayTest, HalfClosedClientReadsEveryReply) {
+  // A client may send its requests and half-close before reading: every
+  // reply arrives, then the gateway closes. The loop answers /stats and
+  // the listing; the summary runs on a worker, and the EOF is read
+  // after the worker resumes the connection.
+  GatewayFixture f("half_close");
+  const std::string stats = "GET /stats HTTP/1.1\r\nHost: t\r\n\r\n";
+  const std::string stores =
+      "GET /api/v1/stores HTTP/1.1\r\nHost: t\r\n\r\n";
+  const std::string summary =
+      "GET /api/v1/stores/s0/summary HTTP/1.1\r\nHost: t\r\n\r\n";
+  for (const std::string& wire : {stats + stores, stats + summary + stores}) {
+    const size_t requests = CountOf(wire, "GET ");
+    for (int round = 0; round < 20; ++round) {
+      const std::string replies = SendAndHalfClose(f.port(), wire);
+      EXPECT_EQ(CountOf(replies, "HTTP/1.1 200 OK\r\n"), requests)
+          << "round " << round << ":\n" << replies;
+      EXPECT_NE(replies.find("\"stores\":["), std::string::npos) << replies;
+    }
+  }
+  EXPECT_TRUE(Eventually(
+      [&] { return f.catalog().stats().sessions_now == 0; }));
+}
+
+TEST(HttpGatewayTest, ShutdownAnswersConnectionClose) {
+  GatewayFixture f("shutdown_close");
+  GatewayClient client = f.Connect();
+  // HTTP/1.1 without a Connection header asks for keep-alive; the
+  // shutdown route closes the connection anyway, and says so.
+  ASSERT_TRUE(client
+                  .SendRaw("POST /api/v1/shutdown HTTP/1.1\r\nHost: t\r\n"
+                           "Content-Length: 0\r\n\r\n")
+                  .ok());
+  std::string raw;
+  for (int i = 0; i < 50 && raw.find("\r\n\r\n") == std::string::npos;
+       ++i) {
+    auto chunk = client.ReadRaw(4096, /*timeout_ms=*/100);
+    if (!chunk.ok()) break;
+    raw += chunk.value();
+  }
+  EXPECT_EQ(raw.find("HTTP/1.1 200 OK\r\n"), 0u) << raw;
+  EXPECT_NE(raw.find("Connection: close\r\n"), std::string::npos) << raw;
+  EXPECT_EQ(raw.find("keep-alive"), std::string::npos) << raw;
+  f.gateway().WaitUntilShutdown();  // returns at once: the route asked
+  client.Close();
+}
+
 TEST(HttpGatewayTest, CapacityLimitAnswers503) {
   GatewayOptions gopts;
   gopts.max_conns = 1;
@@ -523,7 +599,7 @@ TEST(HttpGatewayTest, CapacityLimitAnswers503) {
   if (r.ok()) {
     EXPECT_EQ(r.value().status, 503);
   }  // else: the gateway closed us before the response was readable
-  EXPECT_GE(f.gateway().stats().rejected_at_capacity, 1u);
+  EXPECT_GE(f.gateway().stats().reactor.rejected, 1u);
   first.Close();
   second.Close();
 }

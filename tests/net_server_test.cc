@@ -8,9 +8,11 @@
 #include "net/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -91,6 +93,33 @@ std::string DriveClient(uint16_t port,
   }
   client.Close();
   return transcript;
+}
+
+/// Sends `wire` on a fresh connection, half-closes it, and returns
+/// everything the server sends back until it closes.
+std::string SendAndHalfClose(uint16_t port, const std::string& wire) {
+  auto sock = ConnectTcp("127.0.0.1", port);
+  if (!sock.ok() || !sock.value().WriteAll(wire).ok()) return "<send failed>";
+  ::shutdown(sock.value().fd(), SHUT_WR);
+  std::string out;
+  char buf[4096];
+  for (int quiet = 0; quiet < 100;) {
+    auto read = sock.value().ReadSome(buf, sizeof(buf), 100);
+    if (!read.ok() || read.value().eof) return out;
+    if (read.value().timed_out) ++quiet;
+    out.append(buf, read.value().bytes);
+  }
+  return out + "<no close>";
+}
+
+/// The "Threads:" line of /proc/self/status.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
 }
 
 TEST(NetServerTest, StartServeStopIsClean) {
@@ -381,9 +410,9 @@ TEST(NetServerTest, IdleReapingFlowsFromPoolToConnection) {
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
   ASSERT_TRUE(client.Roundtrip("ping").ok());
-  // Go quiet past the idle timeout: the housekeeper's
-  // CloseIdleSessions reaps the session, the close hook kills the
-  // connection, and the next roundtrip fails at the transport level.
+  // Go quiet past the idle timeout: the accept thread's poll tick runs
+  // CloseIdleSessions, which reaps the session, the close hook closes
+  // the connection, and the next roundtrip fails at the transport level.
   bool dropped = false;
   for (int i = 0; i < 100 && !dropped; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
@@ -526,6 +555,54 @@ TEST(NetServerTest, ShutdownOpStopsTheServerWithoutLeaks) {
   EXPECT_EQ(server.stats().active_now, 0u);
   bystander.Close();
   controller.Close();
+}
+
+TEST(NetServerTest, HalfClosedClientReadsEveryReply) {
+  // A client may send its whole script and half-close before reading:
+  // every reply still arrives, then the server closes.
+  ServerFixture f = MakeFixture("net_half_close");
+  SessionManager pool(f.store.get());
+  Server server(&pool);
+  ASSERT_TRUE(server.Start().ok());
+  for (int round = 0; round < 20; ++round) {
+    EXPECT_EQ(SendAndHalfClose(server.port(), "summary\nping\n"),
+              "OK gmine-server protocol=1\n"
+              "OK focus=s000 depth=0 children=3 display=4 path=s000\n"
+              "OK pong\n")
+        << "round " << round;
+  }
+  // A query runs on a worker while its connection is paused: the lines
+  // behind it wait, then answer in order, and the EOF behind them is
+  // read after the worker resumes the connection.
+  const std::string replies = SendAndHalfClose(
+      server.port(),
+      "query MATCH NODES WHERE id < 3 ORDER BY id ASC\nchild 0\nping\n");
+  EXPECT_NE(replies.find("OK BODY "), std::string::npos) << replies;
+  EXPECT_NE(replies.find(" rows=3 "), std::string::npos) << replies;
+  const std::string tail = "OK focus=s001 display=7\nOK pong\n";
+  ASSERT_GT(replies.size(), tail.size());
+  EXPECT_EQ(replies.substr(replies.size() - tail.size()), tail) << replies;
+  server.Stop();
+  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_EQ(server.stats().requests, 43u);
+}
+
+TEST(NetServerTest, ThreadCountDoesNotGrowWithConnections) {
+  ServerFixture f = MakeFixture("net_threads");
+  SessionManager pool(f.store.get());
+  ServerOptions sopts;
+  sopts.max_clients = 64;
+  Server server(&pool, sopts);
+  ASSERT_TRUE(server.Start().ok());
+  const int idle_threads = ProcessThreads();
+  std::vector<Client> clients(16);
+  for (Client& client : clients) {
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  }
+  EXPECT_EQ(clients.back().Roundtrip("ping").value().text, "pong");
+  EXPECT_EQ(ProcessThreads(), idle_threads);
+  for (Client& client : clients) client.Close();
+  server.Stop();
 }
 
 TEST(NetServerTest, ReadOnlyServerRejectsEditOps) {

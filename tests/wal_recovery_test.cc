@@ -209,6 +209,9 @@ struct CrashFixture {
     EngineOptions opts;
     opts.build.levels = 2;
     opts.build.fanout = 3;
+    // Serial, so that no kernel-pool thread exists at the sweep's
+    // forks (a fork after threads exist is undefined under TSan).
+    opts.build.threads = 1;
     auto engine =
         GMineEngine::Build(dblp.graph, dblp.labels, base_store, opts);
     EXPECT_TRUE(engine.ok());
@@ -447,6 +450,7 @@ TEST(WalCrashSweepTest, EveryCrashPointRecoversTheAckedPrefix) {
     const uint64_t logged = MaxRecordedLsn(logged_path);
     EngineOptions opts;
     opts.wal.enabled = true;
+    opts.build.threads = 1;  // recovery stays on this thread
     auto recovered = GMineEngine::Open(store, opts);
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     const uint64_t applied =
