@@ -806,14 +806,16 @@ Status CmdStats(const CommandLine& cmd, std::string* out) {
       bstats.stores, bstats.shards);
   *out += StrFormat(
       "buffer_pool: hits=%llu misses=%llu loads=%llu evictions=%llu "
-      "invalidations=%llu bypasses=%llu backpressure=%llu\n",
+      "invalidations=%llu bypasses=%llu backpressure=%llu "
+      "private_reads=%llu\n",
       static_cast<unsigned long long>(bstats.hits),
       static_cast<unsigned long long>(bstats.misses),
       static_cast<unsigned long long>(bstats.loads),
       static_cast<unsigned long long>(bstats.evictions),
       static_cast<unsigned long long>(bstats.invalidations),
       static_cast<unsigned long long>(bstats.bypasses),
-      static_cast<unsigned long long>(bstats.backpressure));
+      static_cast<unsigned long long>(bstats.backpressure),
+      static_cast<unsigned long long>(bstats.private_reads));
   return Status::OK();
 }
 

@@ -521,7 +521,13 @@ void GTreeStore::AdoptFullGraph(std::shared_ptr<const graph::Graph> g) {
 
 gmine::Result<std::shared_ptr<const LeafPayload>> GTreeStore::LoadLeaf(
     TreeNodeId leaf, ReaderTag reader) const {
-  if (storage::PagePayload hit = pool_->Lookup(pool_id_, leaf, reader)) {
+  return LoadLeaf(leaf, reader, storage::kNoScan);
+}
+
+gmine::Result<std::shared_ptr<const LeafPayload>> GTreeStore::LoadLeaf(
+    TreeNodeId leaf, ReaderTag reader, storage::ScanId scan) const {
+  if (storage::PagePayload hit =
+          pool_->Lookup(pool_id_, leaf, reader, scan)) {
     return std::static_pointer_cast<const LeafPayload>(hit);
   }
   // directory_ is immutable except under ApplyUpdate, whose contract
@@ -546,7 +552,7 @@ gmine::Result<std::shared_ptr<const LeafPayload>> GTreeStore::LoadLeaf(
       std::make_shared<const LeafPayload>(std::move(payload).value());
   GMINE_ASSIGN_OR_RETURN(
       storage::PagePayload winner,
-      pool_->Insert(pool_id_, leaf, shared, blob.size(), reader));
+      pool_->Insert(pool_id_, leaf, shared, blob.size(), reader, scan));
   return std::static_pointer_cast<const LeafPayload>(winner);
 }
 
@@ -841,11 +847,13 @@ constexpr uint32_t kPageScanTokenMagic = 0x47505331;
 
 /// The store-backed PageScan (storage/page_scan.h): ascending leaf-id
 /// walk, one pinned page per Next() call, tokens fingerprinted against
-/// the store state they were minted from.
+/// the store state they were minted from. Every sweep reads through the
+/// pool's scan path under one scan id, so it keeps the pages it holds
+/// and never evicts a navigator's (docs/STORAGE.md, "Scans").
 class GTreeLeafPageScan final : public storage::PageScan {
  public:
   GTreeLeafPageScan(const GTreeStore* store, ReaderTag reader)
-      : store_(store), reader_(reader) {
+      : store_(store), reader_(reader), scan_(store->pool_->NewScanId()) {
     for (const TreeNode& tn : store->tree_.nodes()) {
       if (tn.IsLeaf()) leaves_.push_back(tn.id);
     }
@@ -865,7 +873,7 @@ class GTreeLeafPageScan final : public storage::PageScan {
     if (next_ >= leaves_.size()) return false;
     const TreeNodeId leaf = leaves_[next_];
     GMINE_ASSIGN_OR_RETURN(std::shared_ptr<const LeafPayload> payload,
-                           store_->LoadLeaf(leaf, reader_));
+                           store_->LoadLeaf(leaf, reader_, scan_));
     Convert(leaf, *payload, page);
     ++next_;
     return true;
@@ -955,6 +963,7 @@ class GTreeLeafPageScan final : public storage::PageScan {
 
   const GTreeStore* store_;
   ReaderTag reader_;
+  storage::ScanId scan_;
   std::vector<TreeNodeId> leaves_;
   size_t next_ = 0;
   uint64_t fingerprint_ = 0;

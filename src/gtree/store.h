@@ -376,6 +376,11 @@ class GTreeStore {
   /// Makes `g` the shared FullGraph() (ApplyUpdate's commit).
   void AdoptFullGraph(std::shared_ptr<const graph::Graph> g);
 
+  /// LoadLeaf through the pool's access path for `scan`
+  /// (storage::kNoScan = the ordinary path).
+  gmine::Result<std::shared_ptr<const LeafPayload>> LoadLeaf(
+      TreeNodeId leaf, ReaderTag reader, storage::ScanId scan) const;
+
   friend class GTreeLeafPageScan;
 
   std::FILE* file_ = nullptr;

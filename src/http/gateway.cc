@@ -792,9 +792,14 @@ std::string Gateway::StatsJson() const {
       (unsigned long long)catalog.quota_rejections);
   out += StrFormat(
       "\"pool\":{\"budget_bytes\":%llu,\"resident_bytes\":%llu,"
-      "\"stores\":%zu},\"endpoints\":[",
+      "\"stores\":%zu,\"hits\":%llu,\"misses\":%llu,\"loads\":%llu,"
+      "\"evictions\":%llu,\"private_reads\":%llu},\"endpoints\":[",
       (unsigned long long)pstats.budget_bytes,
-      (unsigned long long)pstats.resident_bytes, pstats.stores);
+      (unsigned long long)pstats.resident_bytes, pstats.stores,
+      (unsigned long long)pstats.hits, (unsigned long long)pstats.misses,
+      (unsigned long long)pstats.loads,
+      (unsigned long long)pstats.evictions,
+      (unsigned long long)pstats.private_reads);
   for (size_t i = 0; i < kEpCount; ++i) {
     const EndpointCounter& counter = endpoint_counters_[i];
     if (i > 0) out += ",";

@@ -13,6 +13,10 @@ namespace {
 // bypasses; auto shard counts are clamped so every slice stays useful.
 constexpr uint64_t kMinShardBudget = 256 * 1024;
 
+// Frames a scan insert examines on each ring before it reads the page
+// privately: a constant, so a private read never walks the whole ring.
+constexpr size_t kScanEvictSteps = 8;
+
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -61,45 +65,91 @@ StoreId BufferPool::RegisterStore() {
 
 void BufferPool::UnregisterStore(StoreId store) {
   DropStore(store);
+  // The counters move to retired_ under registry_mu_, which stats()
+  // holds across its shard walk too, so no reader sees them twice or
+  // not at all.
+  std::lock_guard<std::mutex> registry(registry_mu_);
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->stats.erase(store);
+    auto it = shard->stats.find(store);
+    if (it == shard->stats.end()) continue;
+    retired_ += it->second;
+    shard->stats.erase(it);
   }
-  std::lock_guard<std::mutex> lock(registry_mu_);
   if (registered_stores_ > 0) --registered_stores_;
 }
 
-PagePayload BufferPool::Lookup(StoreId store, PageId page, uint64_t reader) {
+PagePayload BufferPool::Lookup(StoreId store, PageId page, uint64_t reader,
+                              ScanId scan) {
   Shard& shard = ShardFor(store, page);
   std::lock_guard<std::mutex> lock(shard.mu);
-  Counters& c = shard.stats[store];
+  BufferPoolCounters& c = shard.stats[store];
   auto it = shard.frames.find(FrameKey{store, page});
   if (it == shard.frames.end()) {
     ++c.misses;
     return nullptr;
   }
   Frame& f = it->second;
-  f.referenced = true;
+  TouchLocked(shard, f, scan);
   ++c.hits;
   if (f.loader != reader) ++c.shared_hits;
   return f.payload;
 }
 
+void BufferPool::TouchLocked(Shard& shard, Frame& f, ScanId scan) {
+  if (scan == kNoScan) {
+    if (f.scan != kNoScan) {
+      // Promotion: someone other than a scan wants this page.
+      shard.ring.splice(shard.ring.end(), shard.scan_ring, f.pos);
+      f.scan = kNoScan;
+    }
+    f.referenced = true;
+  } else if (f.scan != kNoScan) {
+    // Re-tag: this scan keeps the page for its next sweep.
+    f.scan = scan;
+    shard.scan_ring.splice(shard.scan_ring.end(), shard.scan_ring, f.pos);
+  }
+}
+
+void BufferPool::AddFrameLocked(Shard& shard, const FrameKey& key, Frame f) {
+  std::list<FrameKey>& ring =
+      f.scan == kNoScan ? shard.ring : shard.scan_ring;
+  ring.push_back(key);
+  f.pos = std::prev(ring.end());
+  shard.resident += f.bytes;
+  shard.frames.emplace(key, std::move(f));
+  if (shard.hand == shard.ring.end()) shard.hand = shard.ring.begin();
+}
+
 void BufferPool::RemoveFrameLocked(
     Shard& shard,
     std::unordered_map<FrameKey, Frame, FrameKeyHash>::iterator it) {
-  if (shard.hand == it->second.pos) {
-    ++shard.hand;
-    if (shard.hand == shard.ring.end()) shard.hand = shard.ring.begin();
+  if (it->second.scan != kNoScan) {
+    shard.scan_ring.erase(it->second.pos);
+  } else {
+    if (shard.hand == it->second.pos) {
+      ++shard.hand;
+      if (shard.hand == shard.ring.end()) shard.hand = shard.ring.begin();
+    }
+    shard.ring.erase(it->second.pos);
+    if (shard.ring.empty()) shard.hand = shard.ring.end();
   }
-  shard.ring.erase(it->second.pos);
-  if (shard.ring.empty()) shard.hand = shard.ring.end();
   shard.resident -= it->second.bytes;
   shard.frames.erase(it);
 }
 
 void BufferPool::EvictForLocked(Shard& shard, uint64_t need) {
   if (shard.budget == 0) return;
+  // Scan frames go first, least recently scanned first: their scan
+  // comes back for them a sweep later at the soonest. Only a scan's
+  // in-flight pages are pinned, so this walk stays short.
+  for (auto pos = shard.scan_ring.begin();
+       shard.resident + need > shard.budget && pos != shard.scan_ring.end();) {
+    auto it = shard.frames.find(*pos++);
+    if (Pinned(it->second)) continue;
+    ++shard.stats[it->first.store].evictions;
+    RemoveFrameLocked(shard, it);
+  }
   // Bounded sweep: every frame's ref bit can be cleared once and the
   // frame revisited once, so two laps (plus slack) reach every
   // evictable frame.
@@ -123,13 +173,50 @@ void BufferPool::EvictForLocked(Shard& shard, uint64_t need) {
   }
 }
 
+bool BufferPool::EvictForScanLocked(Shard& shard, uint64_t need,
+                                    ScanId scan) {
+  if (shard.budget == 0) return true;
+  // Pages other scans left behind, least recently scanned first...
+  size_t steps = kScanEvictSteps;
+  for (auto pos = shard.scan_ring.begin();
+       shard.resident + need > shard.budget &&
+       pos != shard.scan_ring.end() && steps-- > 0;) {
+    auto it = shard.frames.find(*pos++);
+    if (Pinned(it->second) || it->second.scan == scan) continue;
+    ++shard.stats[it->first.store].evictions;
+    RemoveFrameLocked(shard, it);
+  }
+  // ...then ordinary frames whose ref bit is already clear. The shared
+  // hand moves on but clears no bit, so a navigator's page survives
+  // any number of sweeps.
+  steps = kScanEvictSteps;
+  while (shard.resident + need > shard.budget && !shard.ring.empty() &&
+         steps-- > 0) {
+    if (shard.hand == shard.ring.end()) shard.hand = shard.ring.begin();
+    auto it = shard.frames.find(*shard.hand);
+    if (Pinned(it->second) || it->second.referenced) {
+      ++shard.hand;
+      continue;
+    }
+    ++shard.stats[it->first.store].evictions;
+    RemoveFrameLocked(shard, it);
+  }
+  return shard.resident + need <= shard.budget;
+}
+
+bool BufferPool::MakeRoomLocked(Shard& shard, uint64_t need, ScanId scan) {
+  if (scan != kNoScan) return EvictForScanLocked(shard, need, scan);
+  EvictForLocked(shard, need);
+  return shard.budget == 0 || shard.resident + need <= shard.budget;
+}
+
 gmine::Result<PagePayload> BufferPool::Insert(StoreId store, PageId page,
                                               PagePayload payload,
                                               uint64_t bytes,
-                                              uint64_t reader) {
+                                              uint64_t reader, ScanId scan) {
   Shard& shard = ShardFor(store, page);
   std::lock_guard<std::mutex> lock(shard.mu);
-  Counters& c = shard.stats[store];
+  BufferPoolCounters& c = shard.stats[store];
   const FrameKey key{store, page};
   auto existing = shard.frames.find(key);
   if (existing != shard.frames.end()) {
@@ -138,7 +225,7 @@ gmine::Result<PagePayload> BufferPool::Insert(StoreId store, PageId page,
     // to the number of page requests.
     ++c.loads;
     c.bytes_loaded += bytes;
-    existing->second.referenced = true;
+    TouchLocked(shard, existing->second, scan);
     return existing->second.payload;
   }
   if (shard.budget > 0 && bytes > shard.budget) {
@@ -149,8 +236,15 @@ gmine::Result<PagePayload> BufferPool::Insert(StoreId store, PageId page,
     ++c.bypasses;
     return payload;
   }
-  EvictForLocked(shard, bytes);
-  if (shard.budget > 0 && shard.resident + bytes > shard.budget) {
+  if (!MakeRoomLocked(shard, bytes, scan)) {
+    if (scan != kNoScan) {
+      // Nothing this scan may evict: it reads the page privately and
+      // keeps the pages it already holds.
+      ++c.loads;
+      c.bytes_loaded += bytes;
+      ++c.private_reads;
+      return payload;
+    }
     // Everything still resident is pinned: refuse rather than break
     // the budget. The caller releases pages and retries.
     ++c.backpressure;
@@ -162,18 +256,14 @@ gmine::Result<PagePayload> BufferPool::Insert(StoreId store, PageId page,
   }
   ++c.loads;
   c.bytes_loaded += bytes;
-  shard.ring.push_back(key);
   Frame f;
-  f.payload = std::move(payload);
+  f.payload = payload;
   f.bytes = bytes;
   f.loader = reader;
-  f.referenced = true;
-  f.pos = std::prev(shard.ring.end());
-  shard.resident += bytes;
-  auto [it, inserted] = shard.frames.emplace(key, std::move(f));
-  (void)inserted;
-  if (shard.hand == shard.ring.end()) shard.hand = shard.ring.begin();
-  return it->second.payload;
+  f.referenced = scan == kNoScan;
+  f.scan = scan;
+  AddFrameLocked(shard, key, std::move(f));
+  return payload;
 }
 
 bool BufferPool::Contains(StoreId store, PageId page) const {
@@ -240,18 +330,13 @@ size_t BufferPool::RekeyStore(StoreId store,
       ++dropped;
       continue;
     }
-    EvictForLocked(shard, frame.bytes);
-    if (shard.budget > 0 && shard.resident + frame.bytes > shard.budget) {
-      // The new shard's slice is pinned solid; dropping a clean frame
-      // only costs a reload later.
+    if (!MakeRoomLocked(shard, frame.bytes, frame.scan)) {
+      // The new shard's slice has no room this frame's tag may take;
+      // dropping a clean frame only costs a reload later.
       ++dropped;
       continue;
     }
-    shard.ring.push_back(key);
-    frame.pos = std::prev(shard.ring.end());
-    shard.resident += frame.bytes;
-    shard.frames.emplace(key, std::move(frame));
-    if (shard.hand == shard.ring.end()) shard.hand = shard.ring.begin();
+    AddFrameLocked(shard, key, std::move(frame));
   }
   if (dropped > 0) {
     std::lock_guard<std::mutex> lock(shards_[0]->mu);
@@ -290,21 +375,30 @@ uint64_t BufferPool::budget_bytes() const {
   return budget_bytes_;
 }
 
+BufferPoolCounters& BufferPoolCounters::operator+=(
+    const BufferPoolCounters& o) {
+  hits += o.hits;
+  shared_hits += o.shared_hits;
+  misses += o.misses;
+  loads += o.loads;
+  bytes_loaded += o.bytes_loaded;
+  evictions += o.evictions;
+  invalidations += o.invalidations;
+  bypasses += o.bypasses;
+  backpressure += o.backpressure;
+  private_reads += o.private_reads;
+  return *this;
+}
+
 BufferPoolStats BufferPool::stats() const {
   BufferPoolStats total;
+  // registry_mu_ before any shard latch, the one order anywhere: see
+  // UnregisterStore.
+  std::lock_guard<std::mutex> registry(registry_mu_);
+  total += retired_;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [store, c] : shard->stats) {
-      total.hits += c.hits;
-      total.shared_hits += c.shared_hits;
-      total.misses += c.misses;
-      total.loads += c.loads;
-      total.bytes_loaded += c.bytes_loaded;
-      total.evictions += c.evictions;
-      total.invalidations += c.invalidations;
-      total.bypasses += c.bypasses;
-      total.backpressure += c.backpressure;
-    }
+    for (const auto& [store, c] : shard->stats) total += c;
     for (const auto& [key, frame] : shard->frames) {
       total.resident_bytes += frame.bytes;
       ++total.resident_pages;
@@ -314,7 +408,6 @@ BufferPoolStats BufferPool::stats() const {
       }
     }
   }
-  std::lock_guard<std::mutex> lock(registry_mu_);
   total.budget_bytes = budget_bytes_;
   total.shards = shards_.size();
   total.stores = registered_stores_;
@@ -326,18 +419,7 @@ BufferPoolStoreStats BufferPool::store_stats(StoreId store) const {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     auto it = shard->stats.find(store);
-    if (it != shard->stats.end()) {
-      const Counters& c = it->second;
-      total.hits += c.hits;
-      total.shared_hits += c.shared_hits;
-      total.misses += c.misses;
-      total.loads += c.loads;
-      total.bytes_loaded += c.bytes_loaded;
-      total.evictions += c.evictions;
-      total.invalidations += c.invalidations;
-      total.bypasses += c.bypasses;
-      total.backpressure += c.backpressure;
-    }
+    if (it != shard->stats.end()) total += it->second;
     for (const auto& [key, frame] : shard->frames) {
       if (key.store != store) continue;
       total.resident_bytes += frame.bytes;

@@ -27,6 +27,16 @@
 //     returned to the caller uncached (a "bypass"), keeping tiny
 //     budgets usable instead of permanently failing.
 //
+// Scans (docs/STORAGE.md, "Scans"): a whole-store page scan passes a
+// ScanId to Lookup/Insert. Scan accesses never set or clear a clock
+// ref bit; a scan insert evicts only unpinned, unreferenced frames that
+// this same scan did not insert or last hit, and when none is found
+// within a constant number of steps the page is handed back uncached
+// (a "private read"). So a cyclic sweep over more pages than the pool
+// holds keeps the pages it already holds, and never evicts a page a
+// navigator referenced. A non-scan hit promotes a scan frame to an
+// ordinary one; non-scan inserts evict scan frames first.
+//
 // Concurrency: the frame table is split into independently-latched
 // shards (hash of (store, page)); stats are shard-local counters merged
 // on read. Lookup and Insert are safe from any number of threads.
@@ -42,6 +52,7 @@
 #ifndef GMINE_STORAGE_BUFFER_POOL_H_
 #define GMINE_STORAGE_BUFFER_POOL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -62,6 +73,11 @@ using PageId = uint64_t;
 /// the owner knows the concrete type.
 using PagePayload = std::shared_ptr<const void>;
 
+/// Identity of one page scan (BufferPool::NewScanId); kNoScan marks an
+/// ordinary access.
+using ScanId = uint64_t;
+inline constexpr ScanId kNoScan = 0;
+
 /// RekeyStore sentinel: map a page to this to drop its frame.
 inline constexpr PageId kInvalidPage = ~0ull;
 
@@ -76,9 +92,8 @@ struct BufferPoolOptions {
   size_t shards = 0;
 };
 
-/// Cumulative per-store counters plus a point-in-time residency
-/// snapshot (resident/pinned fields are computed at the stats() call).
-struct BufferPoolStoreStats {
+/// Cumulative counters of one store, or of the whole pool.
+struct BufferPoolCounters {
   uint64_t hits = 0;          // lookups served from a resident frame
   uint64_t shared_hits = 0;   // hits by a reader other than the loader
   uint64_t misses = 0;        // lookups that found no frame
@@ -88,13 +103,22 @@ struct BufferPoolStoreStats {
   uint64_t invalidations = 0;  // frames dropped by DropStore/RekeyStore
   uint64_t bypasses = 0;      // pages too large to cache, returned raw
   uint64_t backpressure = 0;  // Inserts refused: budget pinned solid
+  uint64_t private_reads = 0;  // scan loads handed back uncached
+
+  BufferPoolCounters& operator+=(const BufferPoolCounters& o);
+};
+
+/// One store's counters plus a point-in-time residency snapshot
+/// (resident/pinned fields are computed at the stats() call).
+struct BufferPoolStoreStats : BufferPoolCounters {
   uint64_t resident_bytes = 0;
   uint64_t resident_pages = 0;
   uint64_t pinned_bytes = 0;
   uint64_t pinned_pages = 0;
 };
 
-/// Pool-wide aggregate of the per-store stats plus configuration.
+/// Pool-wide aggregate of the per-store stats (those of unregistered
+/// stores included) plus configuration.
 struct BufferPoolStats : BufferPoolStoreStats {
   uint64_t budget_bytes = 0;  // 0 = unbounded
   size_t shards = 0;
@@ -117,23 +141,33 @@ class BufferPool {
   /// Registers a page owner; the returned id is never reused.
   StoreId RegisterStore();
 
-  /// Drops the store's frames and stats and retires its id.
+  /// Drops the store's frames and stats and retires its id. Its
+  /// counters stay in the pool-wide stats().
   void UnregisterStore(StoreId store);
 
-  /// Returns the resident payload for (store, page) and marks the
-  /// frame recently-used, or nullptr on a miss. `reader` attributes
-  /// the hit for the cross-reader shared_hits statistic.
-  PagePayload Lookup(StoreId store, PageId page, uint64_t reader = 0);
+  /// A fresh id for one page scan; never kNoScan, never reused.
+  ScanId NewScanId() { return next_scan_id_.fetch_add(1); }
+
+  /// Returns the resident payload for (store, page), or nullptr on a
+  /// miss. `reader` attributes the hit for the cross-reader
+  /// shared_hits statistic. An ordinary access (scan == kNoScan) marks
+  /// the frame recently-used and promotes a scan frame; a scan access
+  /// only re-tags a scan frame with `scan`.
+  PagePayload Lookup(StoreId store, PageId page, uint64_t reader = 0,
+                     ScanId scan = kNoScan);
 
   /// Inserts a freshly decoded page of `bytes` serialized size,
   /// evicting unpinned frames as needed. Returns the winning payload:
   /// `payload` itself, or the already-resident copy when another
   /// thread won the insert race (the loser's copy dies with its
   /// shared_ptr). Aborted = backpressure (budget exhausted by pinned
-  /// frames); see IsBackpressure().
+  /// frames); see IsBackpressure(). A scan insert never returns
+  /// Aborted: when it may evict nothing, it hands `payload` back
+  /// uncached (a private read).
   gmine::Result<PagePayload> Insert(StoreId store, PageId page,
                                     PagePayload payload, uint64_t bytes,
-                                    uint64_t reader = 0);
+                                    uint64_t reader = 0,
+                                    ScanId scan = kNoScan);
 
   /// True when (store, page) is resident. Does not touch recency or
   /// the hit counters (used by prefetchers to skip useless work).
@@ -145,8 +179,8 @@ class BufferPool {
   size_t DropStore(StoreId store);
 
   /// Renumbers `store`'s frames through `remap` (old page id -> new
-  /// page id, kInvalidPage = drop), preserving payloads, loader tags
-  /// and recency of surviving frames. Used by ApplyUpdate to
+  /// page id, kInvalidPage = drop), preserving payloads, loader and
+  /// scan tags and recency of surviving frames. Used by ApplyUpdate to
   /// invalidate only the touched pages on an epoch bump. The caller
   /// must exclude concurrent readers of this store. Returns the number
   /// of frames dropped.
@@ -184,31 +218,28 @@ class BufferPool {
     size_t operator()(const FrameKey& k) const;
   };
 
-  /// Cumulative counters only (residency is derived from the frames).
-  struct Counters {
-    uint64_t hits = 0, shared_hits = 0, misses = 0, loads = 0;
-    uint64_t bytes_loaded = 0, evictions = 0, invalidations = 0;
-    uint64_t bypasses = 0, backpressure = 0;
-  };
-
   struct Frame {
     PagePayload payload;
     uint64_t bytes = 0;
     uint64_t loader = 0;      // reader that paid the disk read
-    bool referenced = false;  // clock ref bit
-    std::list<FrameKey>::iterator pos;  // position in the clock ring
+    bool referenced = false;  // clock ref bit; scan frames never set it
+    ScanId scan = kNoScan;    // scan that inserted or last hit it
+    std::list<FrameKey>::iterator pos;  // in ring, or scan_ring if scan
   };
 
   /// One independently-latched slice of the frame table. The ring
-  /// holds the clock order (insertion order, hand sweeping forward).
+  /// holds the clock order of ordinary frames (insertion order, hand
+  /// sweeping forward); scan_ring holds scan frames, least recently
+  /// scanned first.
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<FrameKey, Frame, FrameKeyHash> frames;
     std::list<FrameKey> ring;
     std::list<FrameKey>::iterator hand = ring.end();
+    std::list<FrameKey> scan_ring;
     uint64_t budget = 0;  // this shard's slice; 0 = unbounded
     uint64_t resident = 0;
-    std::unordered_map<StoreId, Counters> stats;
+    std::unordered_map<StoreId, BufferPoolCounters> stats;
   };
 
   Shard& ShardFor(StoreId store, PageId page) const {
@@ -225,20 +256,42 @@ class BufferPool {
       Shard& shard,
       std::unordered_map<FrameKey, Frame, FrameKeyHash>::iterator it);
 
-  /// Clock sweep (shard latch held): evicts unpinned frames until
-  /// `need` more bytes fit in the shard budget. Best effort — stops
-  /// when only pinned frames remain.
+  /// Records an access to a resident frame (shard latch held): see
+  /// Lookup for what an ordinary and a scan access change.
+  static void TouchLocked(Shard& shard, Frame& f, ScanId scan);
+
+  /// Files a new frame on the ring its tag names (shard latch held).
+  static void AddFrameLocked(Shard& shard, const FrameKey& key, Frame f);
+
+  /// Ordinary eviction (shard latch held): evicts unpinned scan frames,
+  /// then clock-sweeps ordinary ones, until `need` more bytes fit in
+  /// the shard budget. Best effort — stops when only pinned frames
+  /// remain.
   static void EvictForLocked(Shard& shard, uint64_t need);
+
+  /// Scan eviction (shard latch held): evicts only unpinned frames
+  /// whose ref bit is clear and that `scan` did not insert or last
+  /// hit, examining a constant number of frames. Returns whether
+  /// `need` more bytes now fit.
+  static bool EvictForScanLocked(Shard& shard, uint64_t need, ScanId scan);
+
+  /// The eviction rule for a frame tagged `scan`; returns whether
+  /// `need` more bytes now fit.
+  static bool MakeRoomLocked(Shard& shard, uint64_t need, ScanId scan);
 
   /// Splits budget_bytes_ across the shards (base + remainder, summing
   /// exactly to the total) and evicts each shard down to its slice.
   void RearmShardBudgets();
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::mutex registry_mu_;  // guards next_store_id_/stores_
+  mutable std::mutex registry_mu_;  // guards next_store_id_/stores_;
+                                    // taken before any shard latch
   StoreId next_store_id_ = 1;
   size_t registered_stores_ = 0;
   uint64_t budget_bytes_ = 0;  // guarded by registry_mu_
+  // Unregistered stores' counters; guarded by registry_mu_.
+  BufferPoolCounters retired_;
+  std::atomic<ScanId> next_scan_id_{kNoScan + 1};
 };
 
 }  // namespace gmine::storage

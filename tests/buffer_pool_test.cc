@@ -1,7 +1,8 @@
 // Buffer-pool contract tests (storage/buffer_pool.h): clock eviction,
 // pinning, budget backpressure, multi-store fairness/isolation, epoch
-// rekeying, and a concurrent checkout/evict/invalidate hammer meant to
-// run under TSan (see .github/workflows/ci.yml).
+// rekeying, the scan access path, and a concurrent
+// checkout/evict/invalidate hammer meant to run under TSan (see
+// .github/workflows/ci.yml).
 
 #include "storage/buffer_pool.h"
 
@@ -209,6 +210,138 @@ TEST(BufferPoolTest, SetBudgetShrinkEvictsDown) {
   EXPECT_TRUE(pool.Contains(s, 42));
 }
 
+// ---------------------------------------------------------------- scans
+
+/// One scan page request as GTreeStore makes it: Lookup, then Insert on
+/// a miss. Returns true on a hit.
+bool ScanRead(BufferPool& pool, StoreId s, PageId p, uint64_t bytes,
+              ScanId scan) {
+  if (pool.Lookup(s, p, /*reader=*/0, scan) != nullptr) return true;
+  auto r = pool.Insert(s, p, MakePage(bytes), bytes, /*reader=*/0, scan);
+  EXPECT_TRUE(r.ok() && r.value() != nullptr) << r.status().ToString();
+  return false;
+}
+
+/// Hits of one cyclic sweep over pages [0, pages).
+uint64_t ScanSweep(BufferPool& pool, StoreId s, PageId pages, ScanId scan) {
+  uint64_t hits = 0;
+  for (PageId p = 0; p < pages; ++p) hits += ScanRead(pool, s, p, 100, scan);
+  return hits;
+}
+
+TEST(BufferPoolScanTest, CyclicSweepOverBudgetHitsOnSecondSweep) {
+  // 14 pages of 100 bytes over a 1000-byte shard: plain clock evicts
+  // each page just before the sweep comes back to it (0 hits); the
+  // scan keeps the ten pages it holds and reads the other four
+  // privately.
+  BufferPool pool(BufferPoolOptions{.budget_bytes = 1000, .shards = 1});
+  StoreId s = pool.RegisterStore();
+  const ScanId scan = pool.NewScanId();
+  EXPECT_EQ(ScanSweep(pool, s, 14, scan), 0u);
+  EXPECT_EQ(ScanSweep(pool, s, 14, scan), 10u);
+  EXPECT_EQ(ScanSweep(pool, s, 14, scan), 10u);
+  BufferPoolStoreStats st = pool.store_stats(s);
+  EXPECT_EQ(st.private_reads, 12u);
+  EXPECT_EQ(st.evictions, 0u);
+  EXPECT_EQ(st.resident_bytes, 1000u);
+  // A later scan (the next job) hits the same pages from its first
+  // sweep on.
+  EXPECT_EQ(ScanSweep(pool, s, 14, pool.NewScanId()), 10u);
+}
+
+TEST(BufferPoolScanTest, ReferencedFrameSurvivesScanSweeps) {
+  BufferPool pool(BufferPoolOptions{.budget_bytes = 1000, .shards = 1});
+  StoreId s = pool.RegisterStore();
+  MustInsert(pool, s, 100, 100);  // a navigator's page: ref bit set
+  MustInsert(pool, s, 101, 100);
+  EXPECT_NE(pool.Lookup(s, 101), nullptr);  // ...and re-referenced
+  const ScanId scan = pool.NewScanId();
+  for (int sweep = 0; sweep < 3; ++sweep) ScanSweep(pool, s, 14, scan);
+  EXPECT_TRUE(pool.Contains(s, 100));
+  EXPECT_TRUE(pool.Contains(s, 101));
+  // The scan holds the rest of the budget: 8 of its 14 pages.
+  EXPECT_EQ(ScanSweep(pool, s, 14, scan), 8u);
+  EXPECT_LE(pool.stats().resident_bytes, 1000u);
+}
+
+TEST(BufferPoolScanTest, ScanThatFitsHitsEveryPageFromSecondSweep) {
+  // No share caps a scan: pages that fit the pool all stay resident.
+  BufferPool pool(BufferPoolOptions{.budget_bytes = 1000, .shards = 1});
+  StoreId s = pool.RegisterStore();
+  const ScanId scan = pool.NewScanId();
+  EXPECT_EQ(ScanSweep(pool, s, 10, scan), 0u);
+  EXPECT_EQ(ScanSweep(pool, s, 10, scan), 10u);
+  EXPECT_EQ(ScanSweep(pool, s, 10, scan), 10u);
+  EXPECT_EQ(pool.store_stats(s).private_reads, 0u);
+}
+
+TEST(BufferPoolScanTest, NonScanHitPromotesScanFrame) {
+  BufferPool pool(BufferPoolOptions{.budget_bytes = 300, .shards = 1});
+  StoreId s = pool.RegisterStore();
+  const ScanId first = pool.NewScanId();
+  ScanSweep(pool, s, 3, first);             // pages 0-2, scan frames
+  EXPECT_NE(pool.Lookup(s, 1), nullptr);    // a navigator reads page 1
+  // A second scan may evict the first scan's frames, but page 1 is now
+  // an ordinary, referenced frame.
+  const ScanId second = pool.NewScanId();
+  for (PageId p = 3; p < 6; ++p) ScanRead(pool, s, p, 100, second);
+  EXPECT_TRUE(pool.Contains(s, 1));
+  EXPECT_FALSE(pool.Contains(s, 0));
+  EXPECT_FALSE(pool.Contains(s, 2));
+  EXPECT_EQ(pool.store_stats(s).private_reads, 1u);
+}
+
+TEST(BufferPoolScanTest, NonScanInsertEvictsScanFramesFirst) {
+  // Ring {11 (bit clear), 12 (bit clear), 13 (bit set)} with the hand
+  // at 11, plus scan frame 0: plain clock would evict 12 next; the
+  // navigator's insert takes the scan frame instead.
+  BufferPool pool(BufferPoolOptions{.budget_bytes = 300, .shards = 1});
+  StoreId s = pool.RegisterStore();
+  for (PageId p = 10; p < 14; ++p) MustInsert(pool, s, p, 100);  // evicts 10
+  ScanRead(pool, s, 0, 100, pool.NewScanId());  // evicts 11 (bit clear)
+  ASSERT_TRUE(pool.Contains(s, 0));
+  ASSERT_FALSE(pool.Contains(s, 11));
+  MustInsert(pool, s, 14, 100);
+  EXPECT_FALSE(pool.Contains(s, 0));
+  EXPECT_TRUE(pool.Contains(s, 12));
+  EXPECT_TRUE(pool.Contains(s, 13));
+  EXPECT_TRUE(pool.Contains(s, 14));
+}
+
+TEST(BufferPoolScanTest, PrivateReadsKeepHitsPlusLoadsEqualRequests) {
+  BufferPool pool(BufferPoolOptions{.budget_bytes = 1000, .shards = 1});
+  StoreId s = pool.RegisterStore();
+  const ScanId scan = pool.NewScanId();
+  for (int sweep = 0; sweep < 3; ++sweep) ScanSweep(pool, s, 14, scan);
+  BufferPoolStoreStats st = pool.store_stats(s);
+  EXPECT_GT(st.private_reads, 0u);
+  EXPECT_EQ(st.hits + st.loads, 3u * 14u);
+  EXPECT_EQ(st.misses, st.loads);
+  EXPECT_EQ(st.bypasses, 0u);
+  EXPECT_EQ(st.backpressure, 0u);
+  EXPECT_EQ(st.bytes_loaded, st.loads * 100u);
+}
+
+TEST(BufferPoolScanTest, RekeyStoreKeepsScanTags) {
+  // Frames moved by an epoch bump stay the scan's: its next miss still
+  // finds nothing it may evict.
+  BufferPool pool(BufferPoolOptions{.budget_bytes = 300, .shards = 1});
+  StoreId s = pool.RegisterStore();
+  const ScanId scan = pool.NewScanId();
+  ScanSweep(pool, s, 2, scan);
+  MustInsert(pool, s, 10, 100);
+  EXPECT_EQ(pool.RekeyStore(s, [](PageId p) { return p; }), 0u);
+  EXPECT_FALSE(ScanRead(pool, s, 5, 100, scan));
+  EXPECT_EQ(pool.store_stats(s).private_reads, 1u);
+  EXPECT_TRUE(pool.Contains(s, 0));
+  EXPECT_TRUE(pool.Contains(s, 1));
+  EXPECT_TRUE(pool.Contains(s, 10));
+  // DropStore leaves no scan frame behind.
+  EXPECT_EQ(pool.DropStore(s), 3u);
+  EXPECT_EQ(ScanSweep(pool, s, 3, scan), 0u);
+  EXPECT_EQ(pool.store_stats(s).resident_pages, 3u);
+}
+
 TEST(BufferPoolTest, UnregisterStoreDropsFramesAndStats) {
   BufferPool pool(BufferPoolOptions{.budget_bytes = 1 << 20, .shards = 2});
   StoreId a = pool.RegisterStore();
@@ -223,6 +356,8 @@ TEST(BufferPoolTest, UnregisterStoreDropsFramesAndStats) {
   BufferPoolStoreStats gone = pool.store_stats(a);
   EXPECT_EQ(gone.loads, 0u);
   EXPECT_EQ(gone.resident_pages, 0u);
+  // The pool-wide counters keep what the retired store did.
+  EXPECT_EQ(pool.stats().loads, 2u);
 }
 
 // ------------------------------------------------------------ with stores
@@ -319,7 +454,8 @@ TEST(BufferPoolStoreTest, SharedHitsAttributionSurvivesPool) {
 
 // --------------------------------------------------------------- hammer
 // Concurrent checkout/evict/epoch-bump torture: reader threads hammer
-// Lookup/Insert on two stores under a tight budget while a maintenance
+// Lookup/Insert on two stores under a tight budget, scan readers sweep
+// both stores cyclically through the scan path, and a maintenance
 // thread cycles DropStore / RekeyStore(identity) / SetBudgetBytes.
 // Run under TSan this is the data-race proof for the sharded latches;
 // the invariant checks catch budget overruns and lost frames.
@@ -328,6 +464,7 @@ TEST(BufferPoolHammerTest, ConcurrentCheckoutEvictInvalidate) {
   BufferPool pool(BufferPoolOptions{.budget_bytes = 64 << 10, .shards = 4});
   StoreId stores[2] = {pool.RegisterStore(), pool.RegisterStore()};
   constexpr int kReaders = 4;
+  constexpr int kScanReaders = 2;
   constexpr int kOpsPerReader = 2000;
   constexpr PageId kPages = 64;
   constexpr uint64_t kPageBytes = 512;
@@ -354,6 +491,27 @@ TEST(BufferPoolHammerTest, ConcurrentCheckoutEvictInvalidate) {
         if (got != nullptr) ++checkouts;
         // `got` drops here — the pin releases promptly, as LoadLeaf
         // callers do.
+      }
+    });
+  }
+  for (int t = 0; t < kScanReaders; ++t) {
+    readers.emplace_back([&, t] {
+      // Each scan reader runs a new scan every sweep over both stores'
+      // pages, as a sequence of mine jobs would.
+      ScanId scan = kNoScan;
+      for (int i = 0; i < kOpsPerReader; ++i) {
+        if (i % (2 * kPages) == 0) scan = pool.NewScanId();
+        StoreId s = stores[(i / kPages) & 1];
+        PageId p = i % kPages;
+        PagePayload got = pool.Lookup(s, p, /*reader=*/kReaders + t, scan);
+        if (got == nullptr) {
+          auto r = pool.Insert(s, p, MakePage(kPageBytes), kPageBytes,
+                               /*reader=*/kReaders + t, scan);
+          // A scan insert never refuses: it reads privately instead.
+          EXPECT_TRUE(r.ok()) << r.status().ToString();
+          if (r.ok()) got = r.value();
+        }
+        if (got != nullptr) ++checkouts;
       }
     });
   }
@@ -393,7 +551,34 @@ TEST(BufferPoolHammerTest, ConcurrentCheckoutEvictInvalidate) {
   EXPECT_LE(st.resident_bytes, 64u << 10);
   EXPECT_EQ(st.pinned_pages, 0u);
   EXPECT_EQ(st.hits + st.misses,
-            static_cast<uint64_t>(kReaders) * kOpsPerReader);
+            static_cast<uint64_t>(kReaders + kScanReaders) * kOpsPerReader);
+}
+
+TEST(BufferPoolHammerTest, PoolCountersNeverRunBackwardsAcrossUnregister) {
+  // A catalog closes a store while /stats reads the pool: the closed
+  // store's counters must be counted exactly once at every read.
+  BufferPool pool(BufferPoolOptions{.budget_bytes = 1 << 20, .shards = 4});
+  constexpr int kStores = 300;
+  constexpr PageId kPages = 16;
+  std::atomic<bool> done{false};
+  std::thread churn([&] {
+    for (int i = 0; i < kStores; ++i) {
+      StoreId s = pool.RegisterStore();
+      for (PageId p = 0; p < kPages; ++p) MustInsert(pool, s, p, 64);
+      pool.UnregisterStore(s);
+    }
+    done.store(true);
+  });
+  uint64_t last = 0;
+  int backwards = 0;
+  while (!done.load()) {
+    const uint64_t loads = pool.stats().loads;
+    if (loads < last) ++backwards;
+    last = loads;
+  }
+  churn.join();
+  EXPECT_EQ(backwards, 0);
+  EXPECT_EQ(pool.stats().loads, static_cast<uint64_t>(kStores) * kPages);
 }
 
 }  // namespace

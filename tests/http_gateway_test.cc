@@ -26,8 +26,11 @@
 
 #include "core/catalog.h"
 #include "gen/dblp.h"
+#include "gen/generators.h"
+#include "graph/graph_io.h"
 #include "gtree/builder.h"
 #include "gtree/store.h"
+#include "gtree/stream_build.h"
 #include "http/client.h"
 #include "net/socket.h"
 #include "storage/buffer_pool.h"
@@ -82,21 +85,37 @@ const std::string& BigStorePath() {
   return path;
 }
 
+/// A streamed store (page-at-a-time mining) at `path`: 2,000 nodes.
+void BuildStreamedStore(const std::string& path) {
+  graph::Graph g = std::move(gen::ErdosRenyiM(2000, 8000, 23)).value();
+  std::string lines;
+  for (uint32_t u = 0; u < g.num_nodes(); ++u) {
+    for (const auto& arc : g.Neighbors(u)) {
+      if (u < arc.id) lines += StrFormat("%u %u\n", u, arc.id);
+    }
+  }
+  const std::string edges = path + ".edges";
+  ASSERT_TRUE(graph::WriteStringToFile(lines, edges).ok());
+  ASSERT_TRUE(gtree::StreamBuildStore(edges, path, {}).ok());
+  fs::remove(edges);
+}
+
 constexpr char kSlowQuery[] = "EXTRACT CSG FROM {0, 1, 2} BUDGET 30";
 
 /// A running gateway over a fresh two-store catalog, plus the big store
-/// as "big" when asked.
+/// as "big" and a streamed store as "st" when asked.
 class GatewayFixture {
  public:
   explicit GatewayFixture(const char* tag, GatewayOptions options = {},
                           core::CatalogOptions copts = {},
-                          bool with_big = false) {
+                          bool with_big = false, bool with_streamed = false) {
     dir_ = std::string(::testing::TempDir()) + "/gateway_" + tag;
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     BuildStore(dir_ + "/s0.gtree", 17);
     BuildStore(dir_ + "/s1.gtree", 18);
     if (with_big) fs::copy_file(BigStorePath(), dir_ + "/big.gtree");
+    if (with_streamed) BuildStreamedStore(dir_ + "/st.gtree");
     copts.store.buffer_pool = &pool_;
     catalog_ = std::move(core::Catalog::OpenDirectory(dir_, copts)).value();
     options.buffer_pool = &pool_;
@@ -163,9 +182,10 @@ size_t CountOf(const std::string& haystack, const std::string& needle) {
   return n;
 }
 
-/// A number in the /stats body's "workers" object; -1 when absent.
-long WorkersField(const std::string& stats, const std::string& field) {
-  const size_t at = stats.find("\"workers\":{");
+/// A number in the /stats body's `object` object; -1 when absent.
+long StatsField(const std::string& stats, const std::string& object,
+                const std::string& field) {
+  const size_t at = stats.find("\"" + object + "\":{");
   if (at == std::string::npos) return -1;
   const size_t key = stats.find("\"" + field + "\":", at);
   if (key == std::string::npos || key > stats.find('}', at)) return -1;
@@ -538,6 +558,44 @@ TEST(HttpGatewayTest, MineJobLifecycle) {
   client.Close();
 }
 
+TEST(HttpGatewayTest, StatsPoolCountersMoveAfterPageMineJob) {
+  GatewayFixture f("pool_counters", {}, {}, /*with_big=*/false,
+                   /*with_streamed=*/true);
+  GatewayClient client = f.Connect();
+  HttpClientResponse r = std::move(client.Request("GET", "/stats")).value();
+  ASSERT_EQ(r.status, 200);
+  for (const char* field :
+       {"hits", "misses", "loads", "evictions", "private_reads"}) {
+    EXPECT_EQ(StatsField(r.body, "pool", field), 0) << field << r.body;
+  }
+
+  r = std::move(client.Request(
+                    "POST", "/api/v1/stores/st/mine?kernel=pagerank&top=3"))
+          .value();
+  ASSERT_EQ(r.status, 202) << r.body;
+  const std::string location(r.Header("location"));
+  for (int i = 0; i < 500; ++i) {
+    r = std::move(client.Request("GET", location)).value();
+    ASSERT_EQ(r.status, 200) << r.body;
+    if (r.body.find("\"state\":\"running\"") == std::string::npos) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_NE(r.body.find("\"state\":\"done\""), std::string::npos) << r.body;
+  EXPECT_NE(r.body.find("\"engine\":\"pages\""), std::string::npos)
+      << r.body;
+
+  // The job swept the store's pages through the pool: every sweep
+  // after the first hits the pages the first one loaded.
+  r = std::move(client.Request("GET", "/stats")).value();
+  ASSERT_EQ(r.status, 200);
+  const long loads = StatsField(r.body, "pool", "loads");
+  EXPECT_GT(loads, 0) << r.body;
+  EXPECT_EQ(StatsField(r.body, "pool", "misses"), loads) << r.body;
+  EXPECT_GT(StatsField(r.body, "pool", "hits"), loads) << r.body;
+  EXPECT_EQ(StatsField(r.body, "pool", "private_reads"), 0) << r.body;
+  client.Close();
+}
+
 TEST(HttpGatewayTest, HalfClosedClientReadsEveryReply) {
   // A client may send its requests and half-close before reading: every
   // reply arrives, then the gateway closes. The loop answers /stats and
@@ -618,7 +676,8 @@ TEST(HttpGatewayTest, RestQueryDoesNotStallWebSocketOps) {
   GatewayClient probe = f.Connect();
   ASSERT_TRUE(Eventually([&] {
     auto stats = probe.Request("GET", "/stats");
-    return stats.ok() && WorkersField(stats.value().body, "running") == 1;
+    return stats.ok() &&
+           StatsField(stats.value().body, "workers", "running") == 1;
   })) << "/stats never showed the query running";
 
   // The navigator is answered while the extraction still runs: its

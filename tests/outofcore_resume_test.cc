@@ -2,8 +2,10 @@
 // (mining/pagescan_kernels.h): cancel the kernel at every page
 // boundary of the first sweeps, resume each time from the emitted
 // checkpoint, and require the resumed scores to be bit-identical to an
-// uninterrupted run — plus buffer-pool backpressure coverage (the same
-// kernel under a 1 MiB pool budget on a store far larger than that).
+// uninterrupted run — plus buffer-pool coverage: the same kernel under
+// a 1 MiB pool budget on a store far larger than that, and page scans
+// that keep their pages and a navigator's leaf in a pool the store
+// outgrows.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include "gen/generators.h"
 #include "graph/graph.h"
 #include "graph/graph_io.h"
+#include "gtree/navigation.h"
 #include "gtree/store.h"
 #include "gtree/stream_build.h"
 #include "mining/pagerank.h"
@@ -223,6 +226,65 @@ TEST(OutOfCoreResumeTest, KernelRunsUnderOneMebibytePoolBudget) {
   const storage::BufferPoolStats stats = pool.stats();
   EXPECT_LE(stats.resident_bytes, stats.budget_bytes);
   pool.SetBudgetBytes(old_budget);
+  Cleanup(f);
+}
+
+TEST(OutOfCoreResumeTest, PageRankKeepsItsPagesAndTheNavigatorsLeaf) {
+  Fixture f = MakeStreamedStore("oc_scan", 4000, 20000, 16);
+  // The store's page bytes, from one walk under an unbounded pool.
+  uint64_t page_bytes = 0;
+  {
+    storage::BufferPool probe(
+        storage::BufferPoolOptions{.budget_bytes = 0, .shards = 1});
+    gtree::GTreeStoreOptions sopts;
+    sopts.buffer_pool = &probe;
+    auto store = std::move(gtree::GTreeStore::Open(f.store_path, sopts))
+                     .value();
+    for (gtree::TreeNodeId leaf :
+         store->tree().LeavesUnder(store->tree().root())) {
+      ASSERT_TRUE(store->LoadLeaf(leaf).ok());
+    }
+    page_bytes = probe.stats().resident_bytes;
+  }
+  // A one-shard pool the pages outgrow 1.4 times.
+  storage::BufferPool pool(storage::BufferPoolOptions{
+      .budget_bytes = page_bytes * 5 / 7, .shards = 1});
+  gtree::GTreeStoreOptions sopts;
+  sopts.buffer_pool = &pool;
+  auto store =
+      std::move(gtree::GTreeStore::Open(f.store_path, sopts)).value();
+
+  gtree::NavigationSession nav(store.get());
+  ASSERT_TRUE(nav.FocusGraphNode(0).ok());
+  ASSERT_TRUE(nav.LoadFocusSubgraph().ok());  // the pin drops here
+  const gtree::TreeNodeId nav_leaf = nav.focus();
+  ASSERT_TRUE(store->IsCached(nav_leaf));
+
+  auto first_scan = store->NewPageScan();
+  auto first = PageRankOverPages(*first_scan);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_TRUE(store->IsCached(nav_leaf));
+
+  const storage::BufferPoolStats before = pool.stats();
+  auto second_scan = store->NewPageScan();
+  auto second = PageRankOverPages(*second_scan);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_TRUE(store->IsCached(nav_leaf));
+  const storage::BufferPoolStats after = pool.stats();
+  // Most of the second run's page visits hit: the pool holds 5/7 of
+  // the pages, and every sweep keeps the ones it holds.
+  const uint64_t visits = static_cast<uint64_t>(second.value().iterations) *
+                          second_scan->pages_total();
+  EXPECT_GT(2 * (after.hits - before.hits), visits);
+  EXPECT_EQ(after.hits + after.loads - before.hits - before.loads, visits);
+  EXPECT_LE(after.resident_bytes, after.budget_bytes);
+
+  ASSERT_EQ(first.value().iterations, second.value().iterations);
+  ASSERT_EQ(first.value().score.size(), second.value().score.size());
+  EXPECT_EQ(std::memcmp(first.value().score.data(),
+                        second.value().score.data(),
+                        first.value().score.size() * sizeof(double)),
+            0);
   Cleanup(f);
 }
 

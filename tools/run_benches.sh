@@ -116,8 +116,8 @@ kernel_names = {
     "BM_HttpGatewayNavigate": "http_gateway",
     # arg = BUFFER-POOL BUDGET IN MiB, not threads: page-at-a-time
     # PageRank on a streamed store >= 10x the budget; extra columns
-    # budget_bytes / graph_bytes / peak_rss / pool_resident_bytes carry
-    # the out-of-core evidence (docs/OUTOFCORE.md)
+    # budget_bytes / graph_bytes / peak_rss / pool_resident_bytes /
+    # hit_rate carry the out-of-core evidence (docs/OUTOFCORE.md)
     "BM_OutOfCorePageRank": "outofcore_pagerank",
 }
 kernels = {}
