@@ -125,17 +125,30 @@ void BM_PairwiseDeliveredCurrent(benchmark::State& state) {
 
 BENCHMARK(BM_PairwiseDeliveredCurrent)->Unit(benchmark::kMillisecond);
 
+// arg = SOURCE COUNT, not threads: the RWR walks of 1-4 query authors,
+// serial. The kernel advances every source's walk in one sweep of the
+// transition matrix, so the cost grows far slower than the count.
 void BM_SourceWalks(benchmark::State& state) {
   const gen::DblpGraph& data = CachedDblp();
-  std::vector<graph::NodeId> sources{data.philip_yu, data.flip_korn,
-                                     data.minos_garofalakis};
+  const std::vector<graph::NodeId> all{data.philip_yu, data.flip_korn,
+                                       data.minos_garofalakis,
+                                       data.jiawei_han};
+  const std::vector<graph::NodeId> sources(all.begin(),
+                                           all.begin() + state.range(0));
+  csg::RwrOptions opts;
+  opts.context.threads = 1;
   for (auto _ : state) {
-    auto walks = csg::ComputeSourceWalks(data.graph, sources);
+    auto walks = csg::ComputeSourceWalks(data.graph, sources, opts);
     benchmark::DoNotOptimize(walks);
   }
 }
 
-BENCHMARK(BM_SourceWalks)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SourceWalks)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(3)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -16,51 +16,63 @@ using graph::Neighbor;
 using graph::NodeId;
 using graph::Subgraph;
 
-namespace {
-
-// Node cost for path DP: interior nodes pay -log(goodness); endpoints are
-// free so paths between high-goodness endpoints are not double-charged.
-double NodeCost(double goodness) {
+std::vector<double> GoodnessPathCosts(const std::vector<double>& goodness) {
+  // Interior nodes pay -log(goodness); endpoints are free so paths
+  // between high-goodness endpoints are not double-charged.
   constexpr double kFloor = 1e-300;
-  return -std::log(std::max(goodness, kFloor));
+  std::vector<double> cost(goodness.size());
+  for (size_t v = 0; v < goodness.size(); ++v) {
+    cost[v] = -std::log(std::max(goodness[v], kFloor));
+  }
+  return cost;
 }
 
-// Dijkstra over node costs. Returns per-node predecessor and cost.
-void GoodnessDijkstra(const Graph& g, const std::vector<double>& goodness,
-                      NodeId from, std::vector<double>* cost,
-                      std::vector<NodeId>* pred) {
+std::vector<NodeId> GoodnessPathTree(const Graph& g,
+                                     const std::vector<double>& node_cost,
+                                     NodeId from,
+                                     const std::vector<NodeId>& targets) {
   const uint32_t n = g.num_nodes();
-  cost->assign(n, std::numeric_limits<double>::infinity());
-  pred->assign(n, kInvalidNode);
+  std::vector<NodeId> pred(n, kInvalidNode);
+  std::vector<char> wanted(n, 0);
+  size_t unsettled = 0;
+  for (NodeId t : targets) {
+    if (!wanted[t]) {
+      wanted[t] = 1;
+      ++unsettled;
+    }
+  }
+  if (unsettled == 0) return pred;
+  std::vector<double> cost(n, std::numeric_limits<double>::infinity());
   using Entry = std::pair<double, NodeId>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  (*cost)[from] = 0.0;
+  cost[from] = 0.0;
   heap.emplace(0.0, from);
   while (!heap.empty()) {
     auto [c, u] = heap.top();
     heap.pop();
-    if (c > (*cost)[u]) continue;
+    if (c > cost[u]) continue;
+    // u is settled: with non-negative costs no later relaxation improves
+    // it, so its predecessor is final.
+    if (wanted[u] && --unsettled == 0) break;
     for (const Neighbor& nb : g.Neighbors(u)) {
-      double nc = c + NodeCost(goodness[nb.id]);
-      if (nc < (*cost)[nb.id]) {
-        (*cost)[nb.id] = nc;
-        (*pred)[nb.id] = u;
+      double nc = c + node_cost[nb.id];
+      if (nc < cost[nb.id]) {
+        cost[nb.id] = nc;
+        pred[nb.id] = u;
         heap.emplace(nc, nb.id);
       }
     }
   }
+  return pred;
 }
-
-}  // namespace
 
 std::vector<NodeId> BestGoodnessPath(const Graph& g,
                                      const std::vector<double>& goodness,
                                      NodeId from, NodeId to) {
   if (from >= g.num_nodes() || to >= g.num_nodes()) return {};
   if (from == to) return {from};
-  std::vector<double> cost;
-  std::vector<NodeId> pred;
-  GoodnessDijkstra(g, goodness, from, &cost, &pred);
+  const std::vector<NodeId> pred =
+      GoodnessPathTree(g, GoodnessPathCosts(goodness), from, {to});
   if (pred[to] == kInvalidNode) return {};
   std::vector<NodeId> path;
   for (NodeId v = to; v != kInvalidNode; v = pred[v]) {
@@ -89,10 +101,14 @@ gmine::Result<ConnectionSubgraph> ExtractConnectionSubgraph(
         StrFormat("extraction: budget %u smaller than source set %zu",
                   options.budget, sources.size()));
   }
-  // Steps 1-2: per-source walks and goodness over the full graph.
-  auto walks = ComputeSourceWalks(g, sources, options.rwr);
-  if (!walks.ok()) return walks.status();
-  std::vector<double> goodness = GoodnessScores(walks.value());
+  // Steps 1-2: per-source walks and goodness over the full graph. The
+  // walks are dropped once they are scored.
+  std::vector<double> goodness;
+  {
+    auto walks = ComputeSourceWalks(g, sources, options.rwr);
+    if (!walks.ok()) return walks.status();
+    goodness = GoodnessScores(walks.value());
+  }
 
   // Step 3: candidate pick pool — the highest-goodness nodes. Paths are
   // discovered on the full graph, so pruning bounds only which nodes are
@@ -121,12 +137,13 @@ gmine::Result<ConnectionSubgraph> ExtractConnectionSubgraph(
   }
 
   // Step 4: iterative important-path discovery. One Dijkstra tree per
-  // source (the dynamic program); the best path from any picked node
-  // back to each source is read off the predecessor arrays.
-  std::vector<std::vector<double>> src_cost(sources.size());
+  // source (the dynamic program), grown until every pick is settled; the
+  // best path from any picked node back to each source is read off the
+  // predecessor arrays.
+  const std::vector<double> node_cost = GoodnessPathCosts(goodness);
   std::vector<std::vector<NodeId>> src_pred(sources.size());
   for (size_t i = 0; i < sources.size(); ++i) {
-    GoodnessDijkstra(g, goodness, sources[i], &src_cost[i], &src_pred[i]);
+    src_pred[i] = GoodnessPathTree(g, node_cost, sources[i], pick_order);
   }
 
   std::unordered_set<NodeId> output(sources.begin(), sources.end());

@@ -3,7 +3,8 @@
 // Tong & Faloutsos, which this demo paper summarizes).
 //
 // Pipeline:
-//   1. one RWR per source node (rwr.h);
+//   1. one RWR per source node (rwr.h), up to four sources advanced per
+//      sweep of the transition matrix;
 //   2. goodness score per node = geometric-mean steady meeting
 //      probability (goodness.h);
 //   3. candidate pruning: only the top (candidate_factor * budget) nodes
@@ -11,8 +12,10 @@
 //      greedy loop and keeps extraction interactive on large graphs;
 //   4. iterative important-path discovery (dynamic programming): one
 //      Dijkstra tree per source over node costs -log(goodness) on the
-//      full graph; then repeatedly take the highest-goodness candidate
-//      not yet included and add, for every source, the maximum-goodness
+//      full graph, each cost computed once per extraction and each
+//      search stopped once every candidate is settled (GoodnessPathTree);
+//      then repeatedly take the highest-goodness candidate not yet
+//      included and add, for every source, the maximum-goodness
 //      connection path linking it to that source, until the node budget
 //      is hit. Low-goodness bridge nodes may enter as path interiors, so
 //      pruning never disconnects the output.
@@ -80,6 +83,23 @@ std::vector<graph::NodeId> BestGoodnessPath(const graph::Graph& g,
                                             const std::vector<double>& goodness,
                                             graph::NodeId from,
                                             graph::NodeId to);
+
+/// The path cost of entering each node: -log(goodness), with goodness
+/// floored at 1e-300. Non-negative, since goodness is at most 1.
+std::vector<double> GoodnessPathCosts(const std::vector<double>& goodness);
+
+/// Dijkstra from `from` over node costs (entering v costs node_cost[v]):
+/// pred[v] is v's predecessor on a cheapest path, kInvalidNode for `from`
+/// and for nodes never reached. The search stops once every node in
+/// `targets` is settled (at once when `targets` is empty). A settled
+/// node's predecessor is final, so every target's chain back to `from`
+/// is the one a search run to exhaustion finds; nodes left unsettled may
+/// hold tentative predecessors. A target that `from` cannot reach never
+/// settles, and the search then runs to exhaustion. `from` and every
+/// target must be node ids of `g`; `node_cost` has one entry per node.
+std::vector<graph::NodeId> GoodnessPathTree(
+    const graph::Graph& g, const std::vector<double>& node_cost,
+    graph::NodeId from, const std::vector<graph::NodeId>& targets);
 
 }  // namespace gmine::csg
 

@@ -17,12 +17,6 @@ gmine::Result<SourceWalks> ComputeSourceWalks(
     return Status::InvalidArgument("goodness: empty source set");
   }
   std::unordered_set<NodeId> seen;
-  SourceWalks out;
-  out.sources = sources;
-  out.walks.reserve(sources.size());
-  // One transition matrix shared by every per-source solve: the structure
-  // depends only on (g, weighted), and building it is O(nodes + arcs).
-  const graph::TransitionMatrix trans(g, options.weighted);
   for (NodeId s : sources) {
     if (s >= g.num_nodes()) {
       return Status::InvalidArgument(
@@ -32,10 +26,12 @@ gmine::Result<SourceWalks> ComputeSourceWalks(
       return Status::InvalidArgument(
           StrFormat("goodness: duplicate source %u", s));
     }
-    auto walk = RandomWalkWithRestart(g, trans, s, options);
-    if (!walk.ok()) return walk.status();
-    out.walks.push_back(std::move(walk).value());
   }
+  const graph::TransitionMatrix trans(g, options.weighted);
+  SourceWalks out;
+  out.sources = sources;
+  GMINE_ASSIGN_OR_RETURN(out.walks,
+                         RandomWalksWithRestart(g, trans, sources, options));
   return out;
 }
 

@@ -25,7 +25,10 @@ struct SourceWalks {
   std::vector<RwrResult> walks;
 };
 
-/// Runs one RWR per source. Sources must be distinct and in range.
+/// Runs one RWR per source, sharing one transition matrix, through the
+/// lane kernel (RandomWalksWithRestart, rwr.h): up to four sources per
+/// sweep, each walk bit-identical to its single-source solve. Sources
+/// must be distinct and in range.
 gmine::Result<SourceWalks> ComputeSourceWalks(const graph::Graph& g,
                                               const std::vector<graph::NodeId>& sources,
                                               const RwrOptions& options = {});

@@ -4,8 +4,13 @@
 //
 // r = c * e_s + (1 - c) * W^T r, where W is the (weighted) row-normalized
 // adjacency matrix and c the restart probability. Solved by power
-// iteration; an exact dense solve is provided for small graphs (tests,
-// and the convergence ablation bench_rwr).
+// iteration in one kernel that advances up to four restart vectors
+// ("lanes") per sweep of the transition matrix: each in-arc is read once
+// and applied to every lane, and each lane keeps its own dangling mass,
+// delta, iteration count and stopping test. A lane's result is therefore
+// bit-identical whether it is solved alone or beside others. An exact
+// dense solve is provided for small graphs (tests, and the convergence
+// ablation bench_rwr).
 
 #ifndef GMINE_CSG_RWR_H_
 #define GMINE_CSG_RWR_H_
@@ -51,17 +56,29 @@ gmine::Result<RwrResult> RandomWalkWithRestart(const graph::Graph& g,
                                                graph::NodeId source,
                                                const RwrOptions& options = {});
 
-/// RWR from a single source over a prebuilt transition matrix. Callers
-/// solving many sources on the same graph (e.g. goodness scoring) build
-/// the matrix once instead of paying the O(nodes + arcs) construction per
-/// solve. `trans` must have been built from `g` with the same `weighted`
-/// setting as `options`.
+/// RWR from a single source over a prebuilt transition matrix, so a
+/// caller solving on one graph again and again pays the O(nodes + arcs)
+/// construction once. `trans` must have been built from `g` with the same
+/// `weighted` setting as `options`.
 gmine::Result<RwrResult> RandomWalkWithRestart(
     const graph::Graph& g, const graph::TransitionMatrix& trans,
     graph::NodeId source, const RwrOptions& options = {});
 
+/// RWR from each of `sources` (one result per source, in order) over a
+/// prebuilt transition matrix, as for the overload above. Sources run
+/// four lanes to a sweep, in groups taken in order; a group of three runs
+/// padded to four, and a lane that stops leaves the sweep narrower. Each
+/// result is bit-identical to its single-source solve at every `threads`
+/// setting. Cancellation is polled before every sweep and leaves each
+/// running lane with its current state; a group that starts cancelled
+/// returns its restart vectors (iterations 0).
+gmine::Result<std::vector<RwrResult>> RandomWalksWithRestart(
+    const graph::Graph& g, const graph::TransitionMatrix& trans,
+    const std::vector<graph::NodeId>& sources, const RwrOptions& options = {});
+
 /// RWR with a distributed restart vector (used for query sets and tests);
-/// `restart_mass` must be non-negative and sum to ~1 over all nodes.
+/// `restart_mass` must be non-negative (not NaN) and sum to ~1 over all
+/// nodes. One lane of the same kernel.
 gmine::Result<RwrResult> RandomWalkWithRestartVector(
     const graph::Graph& g, const std::vector<double>& restart_mass,
     const RwrOptions& options = {});

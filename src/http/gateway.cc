@@ -121,7 +121,6 @@ Status Gateway::Start() {
   ReactorOptions ropts;
   ropts.threads = options_.reactor_threads;
   ropts.port = options_.port;
-  ropts.backlog = options_.backlog;
   ropts.max_conns = options_.max_conns;
   HttpResponse busy;
   busy.status = 503;

@@ -64,7 +64,6 @@ namespace gmine::http {
 struct GatewayOptions {
   /// TCP port on 127.0.0.1; 0 picks an ephemeral port (port()).
   uint16_t port = 0;
-  int backlog = 128;
   /// Connections admitted at once; more get 503 and an immediate
   /// close. Sized for tens of thousands of idle navigators.
   size_t max_conns = 10000;

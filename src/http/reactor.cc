@@ -87,7 +87,7 @@ Status Reactor::Start() {
     return Status::Internal("reactor already started");
   }
   GMINE_ASSIGN_OR_RETURN(
-      listener_, net::ListenTcp(options_.port, options_.backlog, &port_));
+      listener_, net::ListenTcp(options_.port, &port_));
   for (int i = 0; i < options_.threads; ++i) {
     auto loop = std::make_unique<Loop>();
     loop->read_buf.resize(kReadChunkBytes);

@@ -59,8 +59,6 @@ struct ReactorOptions {
   int threads = 1;
   /// TCP port on 127.0.0.1; 0 picks an ephemeral port (port()).
   uint16_t port = 0;
-  /// listen(2) backlog.
-  int backlog = 64;
   /// Connections open at once; the accept thread refuses more.
   size_t max_conns = 10000;
   /// What a refused connection reads before it is closed.

@@ -61,7 +61,6 @@ Status Server::Start() {
   http::ReactorOptions ropts;
   ropts.threads = options_.worker_threads;
   ropts.port = options_.port;
-  ropts.backlog = options_.backlog;
   ropts.max_conns = static_cast<size_t>(options_.max_clients);
   ropts.refusal = "ERR Aborted server at capacity\n";
   // Bounds what a peer that stops reading can queue: one response line

@@ -62,8 +62,6 @@ struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 picks an ephemeral port (read it back
   /// from port() after Start).
   uint16_t port = 0;
-  /// listen(2) backlog.
-  int backlog = 64;
   /// Connections admitted at once; more get an "ERR Aborted server at
   /// capacity" line and an immediate close.
   int max_clients = 32;

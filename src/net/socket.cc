@@ -94,8 +94,7 @@ Status Socket::WriteAll(std::string_view data) const {
   return Status::OK();
 }
 
-gmine::Result<Socket> ListenTcp(uint16_t port, int backlog,
-                                uint16_t* bound_port) {
+gmine::Result<Socket> ListenTcp(uint16_t port, uint16_t* bound_port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return ErrnoStatus("socket");
   Socket sock(fd);
@@ -110,7 +109,7 @@ gmine::Result<Socket> ListenTcp(uint16_t port, int backlog,
       0) {
     return ErrnoStatus("bind");
   }
-  if (::listen(fd, backlog) < 0) return ErrnoStatus("listen");
+  if (::listen(fd, SOMAXCONN) < 0) return ErrnoStatus("listen");
   if (bound_port != nullptr) {
     struct sockaddr_in actual;
     socklen_t alen = sizeof(actual);

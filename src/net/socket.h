@@ -63,9 +63,11 @@ class Socket {
 };
 
 /// Binds and listens on 127.0.0.1:`port` (0 = kernel-assigned ephemeral
-/// port). `bound_port` receives the actual port.
-gmine::Result<Socket> ListenTcp(uint16_t port, int backlog,
-                                uint16_t* bound_port);
+/// port) with the system's largest accept queue (SOMAXCONN, capped by
+/// net.core.somaxconn), so a burst of connects is queued rather than
+/// dropped into the client's 1 s SYN retransmit. `bound_port` receives
+/// the actual port.
+gmine::Result<Socket> ListenTcp(uint16_t port, uint16_t* bound_port);
 
 /// Accepts one pending connection from `listener`. Call only after
 /// WaitReadable reported the listener readable; a spurious wakeup

@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <queue>
+#include <utility>
 
 #include "csg/goodness.h"
 #include "gen/dblp.h"
 #include "gen/generators.h"
 #include "graph/graph_builder.h"
 #include "mining/components.h"
+#include "util/rng.h"
 
 namespace gmine::csg {
 namespace {
@@ -82,6 +87,109 @@ TEST(BestGoodnessPathTest, HandlesTrivialAndDisconnected) {
   auto g2 = std::move(b.Build()).value();
   std::vector<double> good2(4, 0.5);
   EXPECT_TRUE(BestGoodnessPath(g2, good2, 0, 3).empty());
+}
+
+// The search the early-stopping GoodnessPathTree replaced: -log on every
+// relaxation, run to exhaustion. Kept as the oracle.
+std::vector<NodeId> ExhaustiveGoodnessDijkstra(
+    const graph::Graph& g, const std::vector<double>& goodness, NodeId from) {
+  const uint32_t n = g.num_nodes();
+  std::vector<double> cost(n, std::numeric_limits<double>::infinity());
+  std::vector<NodeId> pred(n, graph::kInvalidNode);
+  using Entry = std::pair<double, NodeId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
+  cost[from] = 0.0;
+  heap.emplace(0.0, from);
+  while (!heap.empty()) {
+    auto [c, u] = heap.top();
+    heap.pop();
+    if (c > cost[u]) continue;
+    for (const graph::Neighbor& nb : g.Neighbors(u)) {
+      double nc = c - std::log(std::max(goodness[nb.id], 1e-300));
+      if (nc < cost[nb.id]) {
+        cost[nb.id] = nc;
+        pred[nb.id] = u;
+        heap.emplace(nc, nb.id);
+      }
+    }
+  }
+  return pred;
+}
+
+TEST(GoodnessPathTreeTest, EarlyStopKeepsEveryTargetChain) {
+  // A connected graph and a sparse one whose small components leave
+  // some targets unreachable (those searches run to exhaustion).
+  std::vector<graph::Graph> graphs;
+  graphs.push_back(gen::BarabasiAlbert(3000, 3, 11).value());
+  graphs.push_back(gen::ErdosRenyiM(3000, 3300, 29).value());
+  graphs.push_back(gen::WattsStrogatz(2000, 4, 0.05, 5).value());
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    const graph::Graph& g = graphs[gi];
+    const uint32_t n = g.num_nodes();
+    const std::vector<NodeId> sources{0, n / 2, n - 1};
+    auto walks = ComputeSourceWalks(g, sources);
+    ASSERT_TRUE(walks.ok());
+    const std::vector<double> goodness = GoodnessScores(walks.value());
+    // Picks: the 120 highest-goodness nodes plus 40 seeded random ones.
+    std::vector<NodeId> all(n);
+    for (NodeId v = 0; v < n; ++v) all[v] = v;
+    std::vector<NodeId> picks = all;
+    std::partial_sort(picks.begin(), picks.begin() + 120, picks.end(),
+                      [&](NodeId a, NodeId b) {
+                        if (goodness[a] != goodness[b]) {
+                          return goodness[a] > goodness[b];
+                        }
+                        return a < b;
+                      });
+    picks.resize(120);
+    Rng rng(gi + 1);
+    for (int i = 0; i < 40; ++i) {
+      picks.push_back(static_cast<NodeId>(rng.Uniform(n)));
+    }
+    // Seeded uniform costs replace many tentative predecessors before
+    // they settle; with every node a target, any miscounted settle
+    // stops the search short.
+    std::vector<double> random_goodness(n);
+    for (double& x : random_goodness) {
+      x = std::exp(-static_cast<double>(rng.Uniform(1000)) / 100.0);
+    }
+    const std::pair<const std::vector<double>*, const std::vector<NodeId>*>
+        cases[] = {{&goodness, &picks},
+                   {&random_goodness, &picks},
+                   {&random_goodness, &all}};
+    for (const auto& [good, targets] : cases) {
+      const std::vector<double> node_cost = GoodnessPathCosts(*good);
+      for (NodeId s : sources) {
+        const std::vector<NodeId> early =
+            GoodnessPathTree(g, node_cost, s, *targets);
+        const std::vector<NodeId> full =
+            ExhaustiveGoodnessDijkstra(g, *good, s);
+        for (NodeId t : *targets) {
+          // The whole chain t -> s, exactly as extraction walks it.
+          for (NodeId v = t; v != graph::kInvalidNode; v = full[v]) {
+            ASSERT_EQ(early[v], full[v])
+                << "graph " << gi << " source " << s << " target " << t
+                << " at " << v;
+            if (v == s) break;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GoodnessPathTreeTest, StopsAtItsLastTarget) {
+  // On a path the search from 0 settles nodes in order, so it stops
+  // before reaching node 20 when its targets end at 10.
+  auto g = gen::Path(100).value();
+  const std::vector<double> node_cost(100, 1.0);
+  const std::vector<NodeId> pred = GoodnessPathTree(g, node_cost, 0, {3, 10});
+  EXPECT_EQ(pred[10], 9u);
+  EXPECT_EQ(pred[20], graph::kInvalidNode);
+  EXPECT_EQ(GoodnessPathTree(g, node_cost, 0, {99})[99], 98u);
+  for (NodeId p : GoodnessPathTree(g, node_cost, 0, {})) {
+    EXPECT_EQ(p, graph::kInvalidNode);
+  }
 }
 
 TEST(ExtractionTest, RespectsBudget) {

@@ -6,14 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
+#include "csg/goodness.h"
 #include "csg/rwr.h"
 #include "gen/generators.h"
 #include "graph/graph_builder.h"
+#include "graph/transition.h"
 #include "layout/force_directed.h"
 #include "mining/betweenness.h"
 #include "mining/pagerank.h"
+#include "util/parallel.h"
 
 namespace gmine {
 namespace {
@@ -152,6 +158,170 @@ TEST(RwrEquivalenceTest, ParallelStillMatchesExactSolve) {
   for (size_t v = 0; v < iter.value().probability.size(); ++v) {
     EXPECT_NEAR(iter.value().probability[v], exact.value().probability[v],
                 1e-8);
+  }
+}
+
+// The single-source power iteration the lane kernel replaced, kept
+// verbatim as the oracle every lane must match bit for bit.
+csg::RwrResult SingleSourceOracle(const graph::Graph& g, graph::NodeId source,
+                                  const csg::RwrOptions& options) {
+  const graph::TransitionMatrix trans(g, options.weighted);
+  std::vector<double> restart(g.num_nodes(), 0.0);
+  restart[source] = 1.0;
+  constexpr size_t kNodeGrain = 1024;
+  const uint32_t n = trans.num_nodes();
+  csg::RwrResult out;
+  std::vector<double> r = restart;
+  std::vector<double> next(n, 0.0);
+  const double c = options.restart;
+  const int threads = options.context.threads;
+  for (int it = 0; it < options.max_iterations; ++it) {
+    if (options.context.IsCancelled()) break;  // returns current state
+    double dangling = 0.0;
+    for (graph::NodeId v : trans.dangling()) dangling += r[v];
+
+    double delta = ParallelReduce(
+        0, n, kNodeGrain, threads, 0.0,
+        [&](size_t b, size_t e) {
+          double local = 0.0;
+          for (size_t v = b; v < e; ++v) {
+            double acc = 0.0;
+            for (const graph::InArc& a :
+                 trans.InArcs(static_cast<graph::NodeId>(v))) {
+              acc += r[a.src] * a.prob;
+            }
+            // Dangling mass restarts entirely.
+            double nv =
+                c * restart[v] + (1.0 - c) * (acc + dangling * restart[v]);
+            local += std::abs(nv - r[v]);
+            next[v] = nv;
+          }
+          return local;
+        },
+        [](double a, double b) { return a + b; });
+
+    r.swap(next);
+    out.iterations = it + 1;
+    out.final_delta = delta;
+    if (delta < options.tolerance) {
+      out.converged = true;
+      break;
+    }
+  }
+  out.probability = std::move(r);
+  return out;
+}
+
+// memcmp equality of all four RwrResult fields.
+void ExpectSameWalk(const csg::RwrResult& got, const csg::RwrResult& want,
+                    const std::string& where) {
+  EXPECT_EQ(got.iterations, want.iterations) << where;
+  EXPECT_EQ(std::memcmp(&got.final_delta, &want.final_delta, sizeof(double)),
+            0)
+      << where << " final_delta " << got.final_delta << " vs "
+      << want.final_delta;
+  EXPECT_EQ(got.converged, want.converged) << where;
+  ASSERT_EQ(got.probability.size(), want.probability.size()) << where;
+  EXPECT_EQ(std::memcmp(got.probability.data(), want.probability.data(),
+                        want.probability.size() * sizeof(double)),
+            0)
+      << where << " probability";
+}
+
+// ComputeSourceWalks for every prefix of `sources`, weighted and not, at
+// threads 1 and 4, against one oracle solve per source.
+void ExpectLanesMatchOracle(const graph::Graph& g,
+                            const std::vector<graph::NodeId>& sources,
+                            csg::RwrOptions options) {
+  for (bool weighted : {false, true}) {
+    options.weighted = weighted;
+    std::vector<csg::RwrResult> oracle;
+    options.context.threads = 1;
+    for (graph::NodeId s : sources) {
+      oracle.push_back(SingleSourceOracle(g, s, options));
+    }
+    for (int threads : {1, 4}) {
+      options.context.threads = threads;
+      for (size_t k = 1; k <= sources.size(); ++k) {
+        const std::vector<graph::NodeId> prefix(sources.begin(),
+                                                sources.begin() + k);
+        auto walks = csg::ComputeSourceWalks(g, prefix, options);
+        ASSERT_TRUE(walks.ok()) << walks.status().ToString();
+        ASSERT_EQ(walks.value().walks.size(), k);
+        for (size_t i = 0; i < k; ++i) {
+          ExpectSameWalk(walks.value().walks[i], oracle[i],
+                         "weighted=" + std::to_string(weighted) +
+                             " threads=" + std::to_string(threads) +
+                             " k=" + std::to_string(k) +
+                             " lane=" + std::to_string(i));
+        }
+      }
+    }
+  }
+}
+
+TEST(RwrEquivalenceTest, LanesMatchTheSingleSourceSolveBitForBit) {
+  // 9 sources cross two full lane groups and a one-lane third; 3000
+  // nodes span three reduction chunks.
+  auto g = gen::ErdosRenyiM(3000, 12000, 7).value();
+  ExpectLanesMatchOracle(g, {5, 17, 2999, 0, 1234, 640, 88, 2048, 1500}, {});
+}
+
+TEST(RwrEquivalenceTest, LanesMatchOnTheDanglingGraph) {
+  ExpectLanesMatchOracle(DanglingWeightedGraph(), {4, 0, 2, 3, 1}, {});
+}
+
+TEST(RwrEquivalenceTest, LanesStopAtTheirOwnIterations) {
+  // An iteration cap between the sources' own convergence points: some
+  // lanes converge and leave the sweep, the rest stop unconverged at the
+  // cap, each matching its single-source solve.
+  auto g = gen::BarabasiAlbert(2500, 3, 31).value();
+  const std::vector<graph::NodeId> sources{0, 7, 500, 1200, 2499, 60, 900};
+  csg::RwrOptions options;
+  options.tolerance = 1e-13;
+  options.context.threads = 1;
+  int fewest = options.max_iterations;
+  int most = 0;
+  for (graph::NodeId s : sources) {
+    const csg::RwrResult r = SingleSourceOracle(g, s, options);
+    ASSERT_TRUE(r.converged);
+    fewest = std::min(fewest, r.iterations);
+    most = std::max(most, r.iterations);
+  }
+  ASSERT_LT(fewest, most);
+  options.max_iterations = most - 1;
+  bool some_converged = false;
+  bool some_capped = false;
+  for (graph::NodeId s : sources) {
+    const csg::RwrResult r = SingleSourceOracle(g, s, options);
+    (r.converged ? some_converged : some_capped) = true;
+  }
+  EXPECT_TRUE(some_converged);
+  EXPECT_TRUE(some_capped);
+  ExpectLanesMatchOracle(g, sources, options);
+}
+
+TEST(RwrEquivalenceTest, CancelledLanesReturnWithoutError) {
+  auto g = gen::ErdosRenyiM(3000, 12000, 7).value();
+  const std::vector<graph::NodeId> sources{5, 17, 2999, 0, 1234, 640};
+  csg::RwrOptions options;
+  int polls = 0;
+  options.context.cancelled = [&polls] { return ++polls > 3; };
+  auto walks = csg::ComputeSourceWalks(g, sources, options);
+  ASSERT_TRUE(walks.ok()) << walks.status().ToString();
+  ASSERT_EQ(walks.value().walks.size(), sources.size());
+  for (size_t i = 0; i < sources.size(); ++i) {
+    const csg::RwrResult& w = walks.value().walks[i];
+    EXPECT_FALSE(w.converged);
+    ASSERT_EQ(w.probability.size(), g.num_nodes());
+    // The first group ran three sweeps; the second starts cancelled and
+    // keeps its restart vectors.
+    if (i < 4) {
+      EXPECT_EQ(w.iterations, 3);
+    } else {
+      EXPECT_EQ(w.iterations, 0);
+      EXPECT_EQ(w.probability[sources[i]], 1.0);
+    }
   }
 }
 

@@ -5,7 +5,8 @@
 #
 # Checks:
 #   * every required sweep is present (incl. gtree_edit_incremental and
-#     its full-rebuild companion column from the edits bench);
+#     its full-rebuild companion column from the edits bench, and
+#     source_walks, whose columns are RWR source counts);
 #   * every sweep has >= 2 numeric columns, all distinct positive
 #     integers (monotone when sorted) plus optionally "auto";
 #   * every entry carries finite real_ns > 0 (no NaN/Inf) and
@@ -55,6 +56,7 @@ required = [
     "pagerank",
     "betweenness",
     "rwr",
+    "source_walks",
     "gtree_build_sharded",
     "session_pool_navigate",
     "server_navigate",

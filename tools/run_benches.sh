@@ -66,6 +66,7 @@ run_sweep() {
 
 run_sweep bench_metrics 'BM_(PageRank|Betweenness)Threads' "$TMP_DIR/metrics.json"
 run_sweep bench_rwr 'BM_RwrThreads' "$TMP_DIR/rwr.json"
+run_sweep bench_csg_extraction 'BM_SourceWalks' "$TMP_DIR/source_walks.json"
 run_sweep bench_scale 'BM_(GTreeBuildShards|SessionPoolNavigate)' "$TMP_DIR/gtree_build.json"
 run_sweep bench_server 'BM_ServerNavigate' "$TMP_DIR/server.json"
 run_sweep bench_edits 'BM_GTreeEdit(Incremental|FullRebuild)' "$TMP_DIR/edits.json"
@@ -85,6 +86,9 @@ kernel_names = {
     "BM_PageRankThreads": "pagerank",
     "BM_BetweennessThreads": "betweenness",
     "BM_RwrThreads": "rwr",
+    # arg = SOURCE COUNT, not threads: serial RWR walks of 1-4 sources,
+    # which share each sweep of the transition matrix (csg/rwr.h)
+    "BM_SourceWalks": "source_walks",
     # arg = shard count = thread count for the sharded G-Tree build
     "BM_GTreeBuildShards": "gtree_build_sharded",
     # arg = concurrent session count over one store (fixed visit budget)
