@@ -1,12 +1,12 @@
 // Experiment E1 (incremental maintenance, docs/EDITS.md): a single-edge
-// edit through the incremental repair must cost orders of magnitude less
-// than the legacy whole-graph rebuild, and must stop scaling with total
-// graph size — the repair touches one page and a handful of
-// connectivity rows regardless of how big the rest of the store is.
+// edit through the incremental repair re-partitions nothing — it touches
+// one page and a handful of connectivity rows however big the rest of
+// the store is; what still grows with the graph is the linear CSR merge
+// and the metadata sections the append rewrites.
 //
-// BM_GTreeEditIncremental / BM_GTreeEditFullRebuild (arg = graph size)
-// feed the "gtree_edit_incremental" / "gtree_edit_full" sweeps of
-// BENCH_kernels.json via tools/run_benches.sh.
+// BM_GTreeEditIncremental (arg = graph size) feeds the
+// "gtree_edit_incremental" sweep of BENCH_kernels.json via
+// tools/run_benches.sh.
 
 #include <benchmark/benchmark.h>
 
@@ -37,9 +37,9 @@ const std::map<int64_t, SizeConfig>& Sizes() {
   return sizes;
 }
 
-// One persistent engine per (size, mode): edits toggle a single
-// cross-leaf edge back and forth, so the store stays bounded while every
-// iteration measures exactly one ApplyEdit.
+// One persistent engine per size: edits toggle a single cross-leaf edge
+// back and forth, so the store stays bounded while every iteration
+// measures exactly one ApplyEdit.
 struct EditBench {
   std::unique_ptr<core::GMineEngine> engine;
   graph::NodeId u = 0;
@@ -48,23 +48,24 @@ struct EditBench {
   std::string path;
 };
 
-EditBench* GetEditBench(int64_t size, bool incremental) {
-  static std::map<std::pair<int64_t, bool>, EditBench> cache;
-  auto key = std::make_pair(size, incremental);
-  auto it = cache.find(key);
+std::string EditBenchPath(int64_t size) {
+  return StrFormat("/tmp/gmine_bm_edit_%lld.gtree",
+                   static_cast<long long>(size));
+}
+
+EditBench* GetEditBench(int64_t size) {
+  static std::map<int64_t, EditBench> cache;
+  auto it = cache.find(size);
   if (it != cache.end()) return &it->second;
 
   const SizeConfig& cfg = Sizes().at(size);
   const gen::DblpGraph& data =
       CachedDblp(cfg.levels, cfg.fanout, cfg.leaf_size);
   EditBench bench;
-  bench.path = StrFormat("/tmp/gmine_bm_edit_%lld_%d.gtree",
-                         static_cast<long long>(size),
-                         incremental ? 1 : 0);
+  bench.path = EditBenchPath(size);
   core::EngineOptions opts;
   opts.build.levels = cfg.levels;
   opts.build.fanout = cfg.fanout;
-  opts.edit.incremental = incremental;
   auto engine =
       core::GMineEngine::Build(data.graph, data.labels, bench.path, opts);
   if (!engine.ok()) return nullptr;
@@ -79,44 +80,38 @@ EditBench* GetEditBench(int64_t size, bool incremental) {
       break;
     }
   }
-  auto [pos, _] = cache.emplace(key, std::move(bench));
+  auto [pos, _] = cache.emplace(size, std::move(bench));
   return &pos->second;
 }
 
-void RunEditLoop(benchmark::State& state, bool incremental) {
-  EditBench* bench = GetEditBench(state.range(0), incremental);
+// Toggles the bench's edge once: one single-edge ApplyEdit.
+Status ToggleEdge(EditBench* bench) {
+  auto g = bench->engine->full_graph();
+  if (!g.ok()) return g.status();
+  graph::GraphEdit edit(g.value()->num_nodes());
+  if (bench->present) {
+    edit.RemoveEdge(bench->u, bench->v);
+  } else {
+    edit.AddEdge(bench->u, bench->v, 2.0f);
+  }
+  GMINE_RETURN_IF_ERROR(bench->engine->ApplyEdit(edit));
+  bench->present = !bench->present;
+  return Status::OK();
+}
+
+void BM_GTreeEditIncremental(benchmark::State& state) {
+  EditBench* bench = GetEditBench(state.range(0));
   if (bench == nullptr || bench->engine == nullptr) {
     state.SkipWithError("engine build failed");
     return;
   }
   for (auto _ : state) {
-    auto g = bench->engine->full_graph();
-    if (!g.ok()) {
-      state.SkipWithError(g.status().ToString().c_str());
-      return;
-    }
-    graph::GraphEdit edit(g.value()->num_nodes());
-    if (bench->present) {
-      edit.RemoveEdge(bench->u, bench->v);
-    } else {
-      edit.AddEdge(bench->u, bench->v, 2.0f);
-    }
-    core::EditStats stats;
-    Status st = bench->engine->ApplyEdit(edit, {}, &stats);
+    Status st = ToggleEdge(bench);
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;
     }
-    bench->present = !bench->present;
   }
-}
-
-void BM_GTreeEditIncremental(benchmark::State& state) {
-  RunEditLoop(state, /*incremental=*/true);
-}
-
-void BM_GTreeEditFullRebuild(benchmark::State& state) {
-  RunEditLoop(state, /*incremental=*/false);
 }
 
 BENCHMARK(BM_GTreeEditIncremental)
@@ -125,48 +120,23 @@ BENCHMARK(BM_GTreeEditIncremental)
     ->Arg(30000)
     ->Unit(benchmark::kMicrosecond);
 
-// The full-rebuild column exists to expose the scaling gap; keep its
-// iteration budget small — one rebuild of the 30k workload costs whole
-// seconds.
-BENCHMARK(BM_GTreeEditFullRebuild)
-    ->Arg(1500)
-    ->Arg(7500)
-    ->Arg(30000)
-    ->Unit(benchmark::kMicrosecond)
-    ->MinTime(0.02);
-
 void PrintReport() {
   bench::ReportHeader(
       "E1: incremental edit maintenance (docs/EDITS.md)",
       "a single-edge edit repairs one subtree + a few connectivity rows; "
-      "cost stays flat while the full rebuild grows with the graph");
-  std::printf("%-10s %16s %16s %10s\n", "nodes", "incremental", "full rebuild",
-              "ratio");
+      "nothing is re-partitioned at any graph size");
+  std::printf("%-10s %16s\n", "nodes", "incremental");
   for (const auto& [size, cfg] : Sizes()) {
     (void)cfg;
-    double micros[2] = {0.0, 0.0};
-    for (int mode = 0; mode < 2; ++mode) {
-      EditBench* bench = GetEditBench(size, mode == 0);
-      if (bench == nullptr || bench->engine == nullptr) continue;
-      constexpr int kReps = 4;
-      StopWatch watch;
-      for (int r = 0; r < kReps; ++r) {
-        auto g = bench->engine->full_graph();
-        if (!g.ok()) break;
-        graph::GraphEdit edit(g.value()->num_nodes());
-        if (bench->present) {
-          edit.RemoveEdge(bench->u, bench->v);
-        } else {
-          edit.AddEdge(bench->u, bench->v, 2.0f);
-        }
-        if (!bench->engine->ApplyEdit(edit).ok()) break;
-        bench->present = !bench->present;
-      }
-      micros[mode] = static_cast<double>(watch.ElapsedMicros()) / kReps;
+    EditBench* bench = GetEditBench(size);
+    if (bench == nullptr || bench->engine == nullptr) continue;
+    constexpr int kReps = 4;
+    StopWatch watch;
+    for (int r = 0; r < kReps; ++r) {
+      if (!ToggleEdge(bench).ok()) break;
     }
-    std::printf("%-10lld %13.0fus %13.0fus %9.1fx\n",
-                static_cast<long long>(size), micros[0], micros[1],
-                micros[0] > 0 ? micros[1] / micros[0] : 0.0);
+    std::printf("%-10lld %13.0fus\n", static_cast<long long>(size),
+                static_cast<double>(watch.ElapsedMicros()) / kReps);
   }
 }
 
@@ -179,11 +149,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   for (const auto& [size, cfg] : Sizes()) {
     (void)cfg;
-    for (int mode = 0; mode < 2; ++mode) {
-      std::remove(StrFormat("/tmp/gmine_bm_edit_%lld_%d.gtree",
-                            static_cast<long long>(size), mode)
-                      .c_str());
-    }
+    std::remove(EditBenchPath(size).c_str());
   }
   return 0;
 }

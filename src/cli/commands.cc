@@ -542,13 +542,12 @@ Status RunEditScript(GMineEngine* engine, core::EditQueue* queue,
     const gtree::EditClassification& cls = stats.classification;
     *out += StrFormat(
         "[batch %zu] ops=%zu intra-leaf=%llu cross-leaf=%llu v+=%llu "
-        "v-=%llu mode=%s\n",
+        "v-=%llu\n",
         batch, edit->num_ops(),
         static_cast<unsigned long long>(cls.intra_leaf_edge_ops),
         static_cast<unsigned long long>(cls.cross_leaf_edge_ops),
         static_cast<unsigned long long>(cls.added_vertices),
-        static_cast<unsigned long long>(cls.removed_vertices),
-        stats.incremental ? "incremental" : "full-rebuild");
+        static_cast<unsigned long long>(cls.removed_vertices));
     *out += StrFormat(
         "  repaired: subtrees=%u pages=%u conn-rows=%zu%s%s "
         "journal=%zu epoch=%llu wall=%s\n",
@@ -623,11 +622,6 @@ Status CmdEdit(const CommandLine& cmd, std::string* out) {
     return UsageError("edit: STORE path required");
   }
   EngineOptions opts;
-  const std::string mode = cmd.Get("mode", "incremental");
-  if (mode != "incremental" && mode != "full") {
-    return UsageError("edit: --mode expects 'incremental' or 'full'");
-  }
-  opts.edit.incremental = mode == "incremental";
   GMINE_ASSIGN_OR_RETURN(uint64_t max_leaf,
                          FlagUint(cmd, "max-leaf-size", 0));
   opts.edit.max_leaf_size = static_cast<uint32_t>(max_leaf);
@@ -656,48 +650,10 @@ Status CmdEdit(const CommandLine& cmd, std::string* out) {
     return UsageError("edit: --group-ops must be at least 1");
   }
 
-  // Repairs and rebuilds must run with the shape the store was built
-  // with — the engine defaults (levels=3, fanout=5) would re-split a
-  // levels=2 store's leaves on the first edit. Stores record their
-  // build shape in the header (gtree::GTreeBuildHints), which the
-  // engine adopts on Open; for hint-less stores (written by raw
-  // GTreeStore::Create) derive the shape from the tree itself, and let
-  // --levels/--fanout override everything.
-  if (cmd.Has("levels") || cmd.Has("fanout")) {
-    auto probe = gtree::GTreeStore::Open(cmd.positional[0]);
-    if (!probe.ok()) return probe.status();
-    const gtree::GTree& tree = probe.value()->tree();
-    uint32_t derived_fanout = 2;
-    for (const gtree::TreeNode& tn : tree.nodes()) {
-      derived_fanout = std::max(
-          derived_fanout, static_cast<uint32_t>(tn.children.size()));
-    }
-    GMINE_ASSIGN_OR_RETURN(
-        uint64_t levels,
-        FlagUint(cmd, "levels", std::max<uint32_t>(1, tree.height())));
-    GMINE_ASSIGN_OR_RETURN(uint64_t fanout,
-                           FlagUint(cmd, "fanout", derived_fanout));
-    opts.build.levels = static_cast<uint32_t>(levels);
-    opts.build.fanout = static_cast<uint32_t>(fanout);
-    opts.edit.use_store_build_shape = false;
-  }
+  // Open adopts the build shape the store records in its header, so
+  // repairs re-split with the store's own levels/fanout/seed.
   auto engine = GMineEngine::Open(cmd.positional[0], opts);
   if (!engine.ok()) return engine.status();
-  if (opts.edit.use_store_build_shape &&
-      engine.value()->store().build_hints().levels == 0) {
-    // Hint-less store: fall back to tree-derived shape via a reopen.
-    const gtree::GTree& tree = engine.value()->tree();
-    uint32_t derived_fanout = 2;
-    for (const gtree::TreeNode& tn : tree.nodes()) {
-      derived_fanout = std::max(
-          derived_fanout, static_cast<uint32_t>(tn.children.size()));
-    }
-    opts.build.levels = std::max<uint32_t>(1, tree.height());
-    opts.build.fanout = derived_fanout;
-    opts.edit.use_store_build_shape = false;
-    engine = GMineEngine::Open(cmd.positional[0], opts);
-    if (!engine.ok()) return engine.status();
-  }
 
   std::string script;
   if (cmd.Has("script")) {
@@ -1067,9 +1023,7 @@ Status CmdServer(const CommandLine& cmd, std::string* out) {
   gtree::GTreeStore* store = nullptr;
   core::SessionManager* pool = nullptr;
   if (wal || writable) {
-    // Remote mutation always goes through the full engine; without
-    // --wal the commits are serialized behind a mutex and acked with
-    // lsn=0 (nothing logged), exactly like `gmine edit` without a log.
+    // Remote mutation always goes through the full engine.
     EngineOptions eopts;
     eopts.sessions.max_sessions = 0;
     eopts.sessions.idle_timeout_micros = static_cast<int64_t>(idle_ms) * 1000;
@@ -1110,7 +1064,6 @@ Status CmdServer(const CommandLine& cmd, std::string* out) {
   nopts.port = static_cast<uint16_t>(port);
   nopts.max_clients = static_cast<int>(max_clients);
   nopts.worker_threads = static_cast<int>(threads);
-  nopts.prefetch = prefetch;
   if (engine != nullptr) {
     GMineEngine* eng = engine.get();
     nopts.extra_stats = [eng]() {
@@ -1125,57 +1078,17 @@ Status CmdServer(const CommandLine& cmd, std::string* out) {
           static_cast<unsigned long long>(ws.truncated_bytes));
     };
   }
-  // Remote mutation (EDIT ops): with --wal the batches flow through the
-  // group-commit queue (concurrent writers coalesce, acks carry real
-  // LSNs); without it a mutex serializes engine->ApplyEdit and the tip
-  // node count is tracked by hand — the tip is read while another
-  // connection applies, so it cannot ask the store mid-edit.
+  // Remote mutation (EDIT ops): every batch commits through one
+  // group-commit queue over the engine (concurrent writers coalesce
+  // and are rebased onto each other; acks carry real LSNs with --wal
+  // on, lsn=0 without a log).
   std::unique_ptr<core::EditQueue> equeue;
-  auto edit_mu = std::make_shared<std::mutex>();
-  auto tip = std::make_shared<std::atomic<uint32_t>>(0);
   if (writable) {
-    nopts.writable = true;
-    if (wal) {
-      equeue = std::make_unique<core::EditQueue>(engine.get());
-      core::EditQueue* q = equeue.get();
-      nopts.tip_nodes = [q] { return q->tip_nodes(); };
-      nopts.apply_edit =
-          [q](graph::GraphEdit edit, std::vector<std::string> labels)
-          -> gmine::Result<net::EditAck> {
-        auto fut = q->Submit(std::move(edit), std::move(labels));
-        if (!fut.ok()) return fut.status();
-        core::EditCommit commit = fut.value().get();
-        if (!commit.status.ok()) return commit.status;
-        net::EditAck ack;
-        ack.lsn = commit.lsn;
-        ack.epoch = commit.epoch;
-        ack.group_size = commit.group_size;
-        return ack;
-      };
-    } else {
-      tip->store(engine->store().num_graph_nodes());
-      GMineEngine* eng = engine.get();
-      nopts.tip_nodes = [tip] { return tip->load(); };
-      nopts.apply_edit =
-          [eng, edit_mu, tip](graph::GraphEdit edit,
-                              std::vector<std::string> labels)
-          -> gmine::Result<net::EditAck> {
-        std::lock_guard<std::mutex> lock(*edit_mu);
-        core::EditStats stats;
-        GMINE_RETURN_IF_ERROR(eng->ApplyEdit(edit, labels, &stats));
-        tip->store(
-            static_cast<uint32_t>(tip->load() +
-                                  stats.classification.added_vertices -
-                                  stats.classification.removed_vertices));
-        net::EditAck ack;
-        ack.epoch = stats.epoch;
-        return ack;
-      };
-    }
+    equeue = std::make_unique<core::EditQueue>(engine.get());
     *out += StrFormat("writable: on (%s)\n",
-                      wal ? "wal group commit" : "serialized");
+                      wal ? "wal group commit" : "group commit, no wal");
   }
-  net::Server server(pool, nopts, prefetcher.get());
+  net::Server server(pool, nopts, prefetcher.get(), equeue.get());
   GMINE_RETURN_IF_ERROR(server.Start());
   if (cmd.Has("port-file")) {
     // Write-then-rename so a script polling for the file never reads a
@@ -1617,13 +1530,11 @@ std::string UsageText() {
       "[--svg FILE]\n"
       "  render   STORE [--focus COMMUNITY] [--zoom Z] --svg FILE\n"
       "  export   STORE --community NAME (--dot FILE | --graphml FILE)\n"
-      "  edit     STORE [--script FILE] [--mode incremental|full]\n"
-      "           [--levels L --fanout K (default: derived from the\n"
-      "           store's tree)] [--max-leaf-size N] [--compact-ops N]\n"
-      "           [--mem-budget-mb M]  applies batched edit-script lines\n"
-      "           (add-node [LABEL] / add-edge U V [W] / remove-edge U V /\n"
-      "           remove-node V / apply) with incremental subtree repair;\n"
-      "           --mode full forces the legacy whole-graph rebuild;\n"
+      "  edit     STORE [--script FILE] [--max-leaf-size N]\n"
+      "           [--compact-ops N] [--mem-budget-mb M]  applies batched\n"
+      "           edit-script lines (add-node [LABEL] / add-edge U V [W] /\n"
+      "           remove-edge U V / remove-node V / apply) with\n"
+      "           incremental subtree repair;\n"
       "           [--wal on] logs batches to STORE.wal and group-commits\n"
       "           them through the edit queue ([--wal-durable on|off]\n"
       "           [--group-ops N], docs/WAL.md) — replays any crashed\n"
@@ -1641,8 +1552,9 @@ std::string UsageText() {
       "           front end on 127.0.0.1; stops on a client 'shutdown';\n"
       "           [--wal on] replays STORE.wal before serving and adds a\n"
       "           wal section to STATS (docs/WAL.md); [--writable on]\n"
-      "           accepts wire 'edit' ops (batches ack with lsn/epoch;\n"
-      "           with --wal they flow through the group-commit queue)\n"
+      "           accepts wire 'edit' ops, group-committed through the\n"
+      "           edit queue (batches ack with lsn/epoch; lsn=0 without\n"
+      "           --wal)\n"
       "  gateway  DIR|MANIFEST [--port P (0=ephemeral) --max-conns N\n"
       "           --reactor-threads T --mem-budget-mb M --session-quota Q\n"
       "           --token-file FILE --port-file FILE]  HTTP/1.1 +\n"

@@ -13,7 +13,7 @@
 //             [--svg FILE]    multi-source connection subgraph
 //   render    STORE [--focus NAME] [--zoom Z] --svg FILE
 //   export    STORE --community NAME (--dot FILE | --graphml FILE)
-//   edit      STORE [--script FILE] [--mode incremental|full]
+//   edit      STORE [--script FILE]
 //             [--max-leaf-size N] [--compact-ops N] [--mem-budget-mb M]
 //             batch edit driver: applies add-node/add-edge/remove-edge/
 //             remove-node script batches with incremental subtree

@@ -58,10 +58,6 @@ EditQueue::~EditQueue() { Stop(); }
 
 gmine::Result<std::future<EditCommit>> EditQueue::Submit(
     graph::GraphEdit edit, std::vector<std::string> labels) {
-  if (engine_->wal() == nullptr) {
-    return Status::InvalidArgument(
-        "edit queue requires an engine opened with wal.enabled");
-  }
   std::lock_guard<std::mutex> lock(mu_);
   if (stop_) return Status::Aborted("edit queue stopped");
   if (queue_.size() >= options_.max_pending) {
@@ -184,6 +180,7 @@ std::vector<EditQueue::Pending> EditQueue::NextGroupLocked() {
 }
 
 void EditQueue::CommitGroup(std::vector<Pending> group) {
+  // nullptr: no log to append to, sync, rewind or checkpoint.
   storage::Wal* wal = engine_->wal();
   uint32_t tip = 0;
   {
@@ -191,10 +188,10 @@ void EditQueue::CommitGroup(std::vector<Pending> group) {
     tip = tip_nodes_;
   }
 
-  const uint64_t mark = wal->MarkOffset();
-  const uint64_t first_lsn = wal->next_lsn();
+  const uint64_t mark = wal != nullptr ? wal->MarkOffset() : 0;
+  const uint64_t first_lsn = wal != nullptr ? wal->next_lsn() : 0;
   auto fail_group = [&](const Status& status) {
-    (void)wal->RewindTo(mark, first_lsn);
+    if (wal != nullptr) (void)wal->RewindTo(mark, first_lsn);
     std::lock_guard<std::mutex> lock(mu_);
     stats_.failed += group.size();
     for (Pending& p : group) Resolve(p.promise, status);
@@ -213,20 +210,24 @@ void EditQueue::CommitGroup(std::vector<Pending> group) {
     // concatenation below stays keyed by edit-result order.
     p.labels.resize(p.edit.added_node_weights().size());
     graph::GraphEdit r = RebaseEdit(p.edit, serial_base);
-    auto lsn = wal->Append(r, p.labels);
-    if (!lsn.ok()) {
-      fail_group(lsn.status());
-      return;
+    if (wal != nullptr) {
+      auto lsn = wal->Append(r, p.labels);
+      if (!lsn.ok()) {
+        fail_group(lsn.status());
+        return;
+      }
     }
     serial_base += static_cast<uint32_t>(r.added_node_weights().size());
     rebased.push_back(std::move(r));
   }
   // The commit barrier: nothing is acked (and nothing is applied)
   // until every record in the group is durable.
-  Status synced = wal->Sync();
-  if (!synced.ok()) {
-    fail_group(synced);
-    return;
+  if (wal != nullptr) {
+    Status synced = wal->Sync();
+    if (!synced.ok()) {
+      fail_group(synced);
+      return;
+    }
   }
 
   // Merge the serial-chain records into one edit over the group base —
@@ -246,7 +247,9 @@ void EditQueue::CommitGroup(std::vector<Pending> group) {
                          group[i].labels.end());
   }
 
-  const uint64_t last_lsn = first_lsn + group.size() - 1;
+  // Without a log the store keeps its watermark (wal_lsn 0).
+  const uint64_t last_lsn =
+      wal != nullptr ? first_lsn + group.size() - 1 : 0;
   EditStats estats;
   Status applied =
       engine_->ApplyEdit(merged, merged_labels, &estats, last_lsn);
@@ -268,11 +271,12 @@ void EditQueue::CommitGroup(std::vector<Pending> group) {
     ++stats_.groups;
     stats_.max_group = std::max(stats_.max_group, group.size());
     for (size_t i = 0; i < group.size(); ++i) {
-      Resolve(group[i].promise, Status::OK(), first_lsn + i, estats.epoch,
+      Resolve(group[i].promise, Status::OK(),
+              wal != nullptr ? first_lsn + i : 0, estats.epoch,
               group.size());
     }
   }
-  MaybeCheckpoint();
+  if (wal != nullptr) MaybeCheckpoint();
 }
 
 void EditQueue::MaybeCheckpoint() {

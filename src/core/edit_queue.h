@@ -1,11 +1,12 @@
-// Group commit for graph edits (docs/WAL.md). Writers Submit()
-// GraphEdits from any thread; a single committer thread drains the
-// queue in groups, appends every member to the engine's write-ahead
-// log under one fsync barrier, merges the group into a single
-// GraphEdit, runs ONE incremental repair for the whole group, and
-// publishes it with a single epoch bump — readers keep navigating the
-// previous epoch throughout. Amortizing the fsync and the repair over
-// the group is what buys the bench_wal throughput win.
+// Group commit for graph edits (docs/WAL.md), and the one committer of
+// server edits. Writers Submit() GraphEdits from any thread; a single
+// committer thread drains the queue in groups, appends every member to
+// the engine's write-ahead log under one fsync barrier (when the engine
+// has a log), merges the group into a single GraphEdit, runs ONE
+// incremental repair for the whole group, and publishes it with a
+// single epoch bump — readers keep navigating the previous epoch
+// throughout. Amortizing the fsync and the repair over the group is
+// what buys the bench_wal throughput win.
 //
 // Rebasing. An edit is built against the graph as of its submission
 // (base M); by the time the committer reaches it the tip may have
@@ -36,6 +37,11 @@
 // Checkpoint: when the log outgrows `checkpoint_bytes`, the committer
 // fdatasyncs the store file (the header rewrite that recorded the
 // group's LSN may still be in the page cache) and resets the log.
+//
+// Without a log (engine->wal() == nullptr) a group skips the append,
+// the sync barrier, the rewind and the checkpoint; grouping, rebasing,
+// both barriers and the remap-epoch rejection are unchanged, and every
+// ack carries lsn=0.
 
 #ifndef GMINE_CORE_EDIT_QUEUE_H_
 #define GMINE_CORE_EDIT_QUEUE_H_
@@ -60,15 +66,17 @@ struct EditQueueOptions {
   size_t max_group_edits = 64;
   /// Submit() rejects (Aborted) beyond this many queued edits.
   size_t max_pending = 4096;
-  /// Reset the WAL once it outgrows this many bytes (0 = never).
+  /// Reset the WAL once it outgrows this many bytes (0 = never;
+  /// ignored without a WAL).
   uint64_t checkpoint_bytes = 4u << 20;
 };
 
 /// What one committed (or failed) Submit resolved to.
 struct EditCommit {
   Status status = Status::OK();
-  /// The edit's WAL record LSN (0 when the submission never reached
-  /// the log — rejected or failed before append).
+  /// The edit's WAL record LSN (0 when the engine has no WAL, or the
+  /// submission never reached the log — rejected or failed before
+  /// append).
   uint64_t lsn = 0;
   /// Session-pool epoch that published the edit.
   uint64_t epoch = 0;
@@ -89,8 +97,8 @@ struct EditQueueStats {
   uint64_t checkpoints = 0;
 };
 
-/// Single-committer group-commit front end over GMineEngine::ApplyEdit.
-/// The engine must have been opened with EngineOptions::wal.enabled.
+/// Single-committer group-commit front end over GMineEngine::ApplyEdit,
+/// with or without the engine's write-ahead log.
 ///
 /// Thread-safety: Submit/Drain/stats are safe from any thread. The
 /// committer thread is the only caller of engine->ApplyEdit while the
@@ -98,8 +106,8 @@ struct EditQueueStats {
 /// as long as other threads stick to sessions()->WithSession.
 class EditQueue {
  public:
-  /// Starts the committer thread. `engine` must outlive the queue and
-  /// have a WAL attached (engine->wal() != nullptr).
+  /// Starts the committer thread. `engine` must outlive the queue; its
+  /// WAL, when attached, logs every group.
   EditQueue(GMineEngine* engine, const EditQueueOptions& options = {});
 
   /// Stops (draining first) if the caller did not.
@@ -109,8 +117,9 @@ class EditQueue {
 
   /// Enqueues an edit built against the engine's *current* graph.
   /// `labels` names the edit's added nodes in edit-result order. The
-  /// future resolves once the edit's group is durably logged and
-  /// published (or failed). Aborted when the queue is stopped or full.
+  /// future resolves once the edit's group is published — and durably
+  /// logged first, with a WAL — or failed. Aborted when the queue is
+  /// stopped or full.
   gmine::Result<std::future<EditCommit>> Submit(
       graph::GraphEdit edit, std::vector<std::string> labels = {});
 

@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "core/views.h"
 #include "graph/subgraph.h"
@@ -59,10 +58,9 @@ gmine::Result<std::unique_ptr<GMineEngine>> GMineEngine::Open(
   engine->options_ = options;
   // Adopt the store's recorded build shape: edits must re-partition
   // with the parameters the hierarchy was actually built with, not the
-  // opener's defaults (see EditOptions::use_store_build_shape).
+  // opener's defaults.
   const gtree::GTreeBuildHints& hints = engine->store_->build_hints();
-  if (options.edit.use_store_build_shape && hints.levels > 0 &&
-      hints.fanout >= 2) {
+  if (hints.levels > 0 && hints.fanout >= 2) {
     engine->options_.build.levels = hints.levels;
     engine->options_.build.fanout = hints.fanout;
     engine->options_.build.min_partition_size = hints.min_partition_size;
@@ -163,41 +161,16 @@ Status GMineEngine::ApplyEdit(const graph::GraphEdit& edit,
     }
   }
 
-  Status published;
-  if (options_.edit.incremental) {
-    published = ApplyEditIncremental(*base, edit, result, labels,
-                                     labels_changed, &out, wal_lsn);
-  } else {
-    published = ApplyEditFullRebuild(
-        result, labels_changed ? labels : store_->labels(), &out, wal_lsn);
-  }
-  if (!published.ok()) return published;
-
-  default_session_ = sessions_->PinnedSession(default_session_id_);
-  if (default_session_ == nullptr) {
-    return Status::Internal("engine default session missing after edit");
-  }
-  out.epoch = sessions_->epoch();
-  out.micros = watch.ElapsedMicros();
-  return Status::OK();
-}
-
-Status GMineEngine::ApplyEditIncremental(const graph::Graph& base,
-                                         const graph::GraphEdit& edit,
-                                         graph::EditResult& result,
-                                         const graph::LabelStore& labels,
-                                         bool labels_changed,
-                                         EditStats* out, uint64_t wal_lsn) {
-  out->incremental = true;
+  // Repair only what the edit touched (gtree/edit_repair.h).
   gtree::RepairOptions ropts;
   ropts.build = options_.build;
   ropts.max_leaf_size = options_.edit.max_leaf_size;
   auto repaired =
-      gtree::RepairGTree(store_->tree(), base, edit, result, ropts);
+      gtree::RepairGTree(store_->tree(), *base, edit, result, ropts);
   if (!repaired.ok()) return repaired.status();
   gtree::RepairResult& rep = repaired.value();
-  out->classification = rep.classification;
-  out->subtree_rebuilds = rep.subtree_rebuilds;
+  out.classification = rep.classification;
+  out.subtree_rebuilds = rep.subtree_rebuilds;
 
   // Materialize only the dirty pages.
   std::vector<std::pair<gtree::TreeNodeId, graph::Subgraph>> pages;
@@ -212,9 +185,9 @@ Status GMineEngine::ApplyEditIncremental(const graph::Graph& base,
   if (rep.rebuild_connectivity) {
     rebuilt_conn = gtree::ConnectivityIndex::Build(
         result.graph, rep.tree, options_.build.threads);
-    out->connectivity_rebuilt = true;
+    out.connectivity_rebuilt = true;
   } else {
-    out->conn_rows_updated = rep.conn_deltas.size();
+    out.conn_rows_updated = rep.conn_deltas.size();
   }
 
   gtree::GTreeStoreUpdate update;
@@ -233,61 +206,28 @@ Status GMineEngine::ApplyEditIncremental(const graph::Graph& base,
   update.journal_edit = rep.classification.needs_remap ? nullptr : &edit;
   update.applied_lsn = wal_lsn;
 
+  // Live pool sessions survive through the epoch bump (ids preserved,
+  // focus reset to the new root).
   gtree::GTreeStoreUpdateStats ustats;
   GMINE_RETURN_IF_ERROR(sessions_->UpdateEpoch(
       [&]() -> gmine::Result<const gtree::GTreeStore*> {
         GMINE_RETURN_IF_ERROR(store_->ApplyUpdate(update, &ustats));
         return store_.get();
       }));
-  out->compacted = ustats.compacted;
-  out->defragmented = ustats.defragmented;
-  out->pages_written = ustats.compacted
-                           ? store_->tree().num_leaves()
-                           : ustats.pages_written;
-  out->pages_invalidated = ustats.pages_invalidated;
-  out->journal_ops = ustats.journal_ops;
-  return Status::OK();
-}
+  out.compacted = ustats.compacted;
+  out.defragmented = ustats.defragmented;
+  out.pages_written = ustats.compacted
+                          ? store_->tree().num_leaves()
+                          : ustats.pages_written;
+  out.pages_invalidated = ustats.pages_invalidated;
+  out.journal_ops = ustats.journal_ops;
 
-Status GMineEngine::ApplyEditFullRebuild(graph::EditResult& result,
-                                         const graph::LabelStore& labels,
-                                         EditStats* out, uint64_t wal_lsn) {
-  // Rebuild the hierarchy into a sibling file and swap it in only once
-  // every step has succeeded, so a failed edit leaves the engine on the
-  // old store instead of half-dismantled.
-  auto tree = gtree::BuildGTree(result.graph, options_.build);
-  if (!tree.ok()) return tree.status();
-  gtree::ConnectivityIndex conn = gtree::ConnectivityIndex::Build(
-      result.graph, tree.value(), options_.build.threads);
-  const std::string tmp_path = store_path_ + ".tmp";
-  gtree::GTreeBuildHints hints = HintsFrom(options_.build);
-  Status created = gtree::GTreeStore::Create(
-      tmp_path, result.graph, tree.value(), conn, labels, &hints,
-      wal_lsn != 0 ? wal_lsn : store_->applied_lsn());
-  if (!created.ok()) {
-    std::remove(tmp_path.c_str());
-    return created;
+  default_session_ = sessions_->PinnedSession(default_session_id_);
+  if (default_session_ == nullptr) {
+    return Status::Internal("engine default session missing after edit");
   }
-  // POSIX semantics: rename replaces an existing destination atomically;
-  // the current store's open handle keeps reading the old inode until
-  // the swap below.
-  if (std::rename(tmp_path.c_str(), store_path_.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::IOError(
-        StrFormat("ApplyEdit: cannot replace %s", store_path_.c_str()));
-  }
-  auto store = gtree::GTreeStore::Open(store_path_, options_.store);
-  if (!store.ok()) return store.status();
-  // Live pool sessions survive the store swap through the epoch bump
-  // (ids preserved, focus reset to the new root).
-  GMINE_RETURN_IF_ERROR(sessions_->UpdateEpoch(
-      [&]() -> gmine::Result<const gtree::GTreeStore*> {
-        store_ = std::move(store).value();
-        return store_.get();
-      }));
-  out->compacted = true;
-  out->connectivity_rebuilt = true;
-  out->pages_written = store_->tree().num_leaves();
+  out.epoch = sessions_->epoch();
+  out.micros = watch.ElapsedMicros();
   return Status::OK();
 }
 

@@ -34,21 +34,13 @@
 
 namespace gmine::core {
 
-/// ApplyEdit policy.
+/// ApplyEdit policy. Stores record the shape they were built with
+/// (gtree::GTreeBuildHints), and Open adopts it into
+/// `EngineOptions::build`, so repairs re-partition with the original
+/// levels/fanout/seed even when the opener passed none.
 struct EditOptions {
-  /// Repair only the affected subtrees (gtree/edit_repair.h) instead of
-  /// rebuilding the whole hierarchy. Off = the legacy full rebuild —
-  /// every edit re-partitions the entire graph.
-  bool incremental = true;
   /// Leaf re-split threshold; 0 = auto (see gtree::RepairOptions).
   uint32_t max_leaf_size = 0;
-  /// Stores record the shape they were built with
-  /// (gtree::GTreeBuildHints); when set — the default — Open adopts
-  /// that recorded shape into `EngineOptions::build`, so repairs and
-  /// rebuilds re-partition with the original levels/fanout/seed even
-  /// when the opener passed none. Turn off to force the caller's
-  /// `build` options verbatim.
-  bool use_store_build_shape = true;
 };
 
 /// Engine construction options.
@@ -73,16 +65,14 @@ struct EngineOptions {
   /// Write-ahead log (docs/WAL.md). When `wal.enabled`, Open attaches
   /// a WAL next to the store (default "<store>.wal") and replays its
   /// tail past the store's applied LSN before serving anything —
-  /// committed edits survive a crash. Pair with an EditQueue
-  /// (core/edit_queue.h) for group-committed writes.
+  /// committed edits survive a crash. An EditQueue (core/edit_queue.h)
+  /// group-commits through it.
   storage::WalOptions wal;
 };
 
 /// What one ApplyEdit did (reported by `gmine edit`).
 struct EditStats {
   gtree::EditClassification classification;
-  /// False when the legacy full rebuild ran (policy off).
-  bool incremental = false;
   /// Store took its rewrite path (id remap or journal compaction).
   bool compacted = false;
   /// The rewrite was forced by the size-ratio defrag trigger
@@ -210,10 +200,10 @@ class GMineEngine {
   /// labels (use `new_labels` to name added nodes, keyed by the ids in
   /// edit-result order) and repairs the hierarchy incrementally —
   /// rewriting only the touched subtrees, store pages and connectivity
-  /// rows (docs/EDITS.md; EditOptions::incremental = false restores the
-  /// legacy whole-graph rebuild). Live pool sessions survive via an
-  /// epoch bump: same ids, reset to the new root. `stats`, when given,
-  /// reports what the repair did.
+  /// rows (docs/EDITS.md). Live pool sessions survive via an epoch
+  /// bump: same ids, reset to the new root. `stats`, when given,
+  /// reports what the repair did. Concurrent writers go through one
+  /// EditQueue (core/edit_queue.h), the only caller while it runs.
   /// `wal_lsn`, when nonzero, is the write-ahead-log LSN this edit
   /// publishes: the store header records it so recovery replays only
   /// the log past it (callers: EditQueue's group commit, Open's
@@ -250,18 +240,6 @@ class GMineEngine {
   /// (Re)creates the session pool over store_ and pins the default
   /// session; used by Open.
   Status ResetSessions();
-
-  /// ApplyEdit back ends: subtree repair published through the pool's
-  /// epoch bump, vs the legacy whole-graph rebuild + store swap.
-  Status ApplyEditIncremental(const graph::Graph& base,
-                              const graph::GraphEdit& edit,
-                              graph::EditResult& result,
-                              const graph::LabelStore& labels,
-                              bool labels_changed, EditStats* out,
-                              uint64_t wal_lsn);
-  Status ApplyEditFullRebuild(graph::EditResult& result,
-                              const graph::LabelStore& labels,
-                              EditStats* out, uint64_t wal_lsn);
 
   /// Opens the WAL next to the store and replays its tail
   /// (EngineOptions::wal; called at the end of Open).

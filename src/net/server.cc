@@ -20,6 +20,9 @@ int64_t SteadyMicros() {
       .count();
 }
 
+/// Leaves queued per focus change when prefetching.
+constexpr size_t kPrefetchFanout = 8;
+
 /// One text line sent on accept, before any request. (Hyphenated name:
 /// doc transcripts must not look like `gmine <subcommand>` invocations
 /// to tools/check_docs_cli.sh.)
@@ -40,9 +43,10 @@ bool RunsOnWorker(const Request& request) {
 }  // namespace
 
 Server::Server(core::SessionManager* pool, ServerOptions options,
-               core::Prefetcher* prefetcher)
+               core::Prefetcher* prefetcher, core::EditQueue* edits)
     : pool_(pool),
       prefetcher_(prefetcher),
+      edits_(edits),
       options_(options),
       // Sized like the gateway's: at least two, so one long kernel
       // cannot hold the only worker.
@@ -296,9 +300,8 @@ Response Server::Execute(const Request& request, Conn& conn,
       response.text = StatsText(conn);
       return response;
     case RequestOp::kEdit:
-      // Mutations run outside WithSession: the commit path (EditQueue
-      // or the host's serialized ApplyEdit) takes the writer side of
-      // the epoch gate itself.
+      // Mutations run outside WithSession: the EditQueue's committer
+      // takes the writer side of the epoch gate itself.
       return ExecuteEdit(request, conn);
     default:
       break;
@@ -334,25 +337,18 @@ Response Server::Execute(const Request& request, Conn& conn,
     query_pages_pruned_.fetch_add(qs.pages_pruned,
                                   std::memory_order_relaxed);
   }
-  if (focus_after != focus_before && options_.prefetch &&
-      prefetcher_ != nullptr) {
+  if (focus_after != focus_before && prefetcher_ != nullptr) {
     // Best-effort hint: the pages one child/load step away.
-    (void)prefetcher_->EnqueueChildren(focus_after,
-                                       options_.prefetch_fanout);
+    (void)prefetcher_->EnqueueChildren(focus_after, kPrefetchFanout);
   }
   return response;
 }
 
 Response Server::ExecuteEdit(const Request& request, Conn& conn) {
   Response response;
-  if (!options_.writable) {
+  if (edits_ == nullptr) {
     response.status = Status::NotSupported(
         "server is read-only (start with --writable on)");
-    return response;
-  }
-  if (!options_.apply_edit || !options_.tip_nodes) {
-    response.status =
-        Status::Internal("writable server has no edit hook wired");
     return response;
   }
   const std::string_view sub = EditSubOp(request);
@@ -376,20 +372,24 @@ Response Server::ExecuteEdit(const Request& request, Conn& conn) {
     conn.pending_edit.reset();
     conn.pending_labels = {};
     const size_t ops = edit.num_ops();
-    auto ack = options_.apply_edit(std::move(edit), std::move(labels));
-    if (!ack.ok()) {
-      // The batch is gone either way — a failed commit must not be
-      // silently retried against a tip it was not built for.
-      response.status = ack.status();
+    // The batch is gone either way — a failed commit must not be
+    // silently retried against a tip it was not built for.
+    auto submitted = edits_->Submit(std::move(edit), std::move(labels));
+    if (!submitted.ok()) {
+      response.status = submitted.status();
+      return response;
+    }
+    const core::EditCommit commit = submitted.value().get();
+    if (!commit.status.ok()) {
+      response.status = commit.status;
       return response;
     }
     edits_committed_.fetch_add(1, std::memory_order_relaxed);
     edit_ops_committed_.fetch_add(ops, std::memory_order_relaxed);
     response.text = StrFormat(
         "committed ops=%zu lsn=%llu epoch=%llu group=%zu", ops,
-        static_cast<unsigned long long>(ack.value().lsn),
-        static_cast<unsigned long long>(ack.value().epoch),
-        ack.value().group_size);
+        static_cast<unsigned long long>(commit.lsn),
+        static_cast<unsigned long long>(commit.epoch), commit.group_size);
     return response;
   }
   // A malformed mutation fails without opening a batch.
@@ -400,7 +400,7 @@ Response Server::ExecuteEdit(const Request& request, Conn& conn) {
   }
   if (conn.pending_edit == nullptr) {
     conn.pending_edit =
-        std::make_unique<graph::GraphEdit>(options_.tip_nodes());
+        std::make_unique<graph::GraphEdit>(edits_->tip_nodes());
   }
   const graph::NodeId id =
       QueueEditOp(op.value(), conn.pending_edit.get(), &conn.pending_labels);
@@ -481,7 +481,7 @@ std::string Server::StatsText(const Conn& conn) const {
           query_pages_scanned_.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
           query_pages_pruned_.load(std::memory_order_relaxed)));
-  if (options_.writable) {
+  if (edits_ != nullptr) {
     out += StrFormat(
         " | edits committed=%llu ops=%llu",
         static_cast<unsigned long long>(

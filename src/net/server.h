@@ -3,7 +3,8 @@
 // its own core::SessionManager session for its whole lifetime — the
 // socket is the user, the session is their navigation state — and every
 // request line executes under WithSession, so any number of clients
-// navigate one read-only store concurrently without sharing focus.
+// navigate one store concurrently without sharing focus. A writable
+// server commits remote edits through one core::EditQueue.
 //
 // Thread model: the gateway's event engine (http/reactor.h) with a
 // line-protocol handler.
@@ -38,6 +39,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/edit_queue.h"
 #include "core/prefetcher.h"
 #include "core/session_manager.h"
 #include "graph/graph_edit.h"
@@ -48,14 +50,6 @@
 #include "util/timer.h"
 
 namespace gmine::net {
-
-/// What one committed EDIT batch resolved to (writable servers): the
-/// same lsn/epoch ack `gmine edit` prints, surfaced over the wire.
-struct EditAck {
-  uint64_t lsn = 0;       // WAL record LSN (0 = no WAL attached)
-  uint64_t epoch = 0;     // session-pool epoch that published the edit
-  size_t group_size = 1;  // edits that shared the commit group
-};
 
 /// Server tunables.
 struct ServerOptions {
@@ -70,29 +64,11 @@ struct ServerOptions {
   int worker_threads = 0;
   /// Granularity of shutdown checks and idle sweeps.
   int poll_interval_ms = 50;
-  /// Best-effort child-leaf prefetch on focus changes (needs a
-  /// Prefetcher passed to the constructor; see docs/SERVER.md).
-  bool prefetch = false;
-  /// Leaves queued per focus change when prefetching.
-  size_t prefetch_fanout = 8;
   /// Extra host-supplied section appended to the STATS response (e.g.
   /// `gmine server --wal on` reports the write-ahead log through it).
   /// Called from the event loops — must be thread-safe. Empty result =
   /// nothing appended.
   std::function<std::string()> extra_stats;
-  /// Accept EDIT ops (remote mutation). Requires `apply_edit` and
-  /// `tip_nodes`; when false every EDIT answers ERR NotSupported.
-  bool writable = false;
-  /// Commits one closed batch and returns its ack. Called from the
-  /// worker pool — must be thread-safe (`gmine server` serializes
-  /// through the group-commit queue with --wal on, a mutex otherwise).
-  std::function<gmine::Result<EditAck>(graph::GraphEdit,
-                                       std::vector<std::string>)>
-      apply_edit;
-  /// Node count of the current graph tip — the base new batches build
-  /// against (provisional ids start here). Called from the event loops;
-  /// same thread-safety contract as apply_edit.
-  std::function<uint32_t()> tip_nodes;
 };
 
 /// Cumulative server counters (stats()).
@@ -116,11 +92,19 @@ struct ConnectionInfo {
 };
 
 /// TCP front end over one SessionManager. The pool (and its store) must
-/// outlive the server; the optional prefetcher too.
+/// outlive the server; the optional prefetcher and edit queue too.
+///   * `prefetcher`: best-effort child-leaf prefetch on focus changes
+///     (docs/SERVER.md).
+///   * `edits`: accept EDIT ops (remote mutation). Every closed batch
+///     is built against the queue's tip and committed through it, so
+///     batches from different connections are rebased onto each other
+///     with or without a WAL. The queue's engine must own `pool`.
+///     nullptr = read-only: every EDIT answers ERR NotSupported.
 class Server {
  public:
   explicit Server(core::SessionManager* pool, ServerOptions options = {},
-                  core::Prefetcher* prefetcher = nullptr);
+                  core::Prefetcher* prefetcher = nullptr,
+                  core::EditQueue* edits = nullptr);
   ~Server();
 
   Server(const Server&) = delete;
@@ -193,6 +177,7 @@ class Server {
 
   core::SessionManager* pool_;
   core::Prefetcher* prefetcher_;
+  core::EditQueue* edits_;
   ServerOptions options_;
   std::unique_ptr<http::Reactor> reactor_;
   http::WorkerPool workers_;

@@ -601,7 +601,7 @@ TEST(CliTest, EditScriptAppliesIncrementally) {
   ASSERT_TRUE(RunCli({"edit", store, "--script", script}, &out).ok())
       << out;
   EXPECT_NE(out.find("[batch 1]"), std::string::npos);
-  EXPECT_NE(out.find("mode=incremental"), std::string::npos);
+  EXPECT_NE(out.find("repaired: subtrees="), std::string::npos);
   EXPECT_NE(out.find("provisional id 180"), std::string::npos);
   // The trailing unapplied batch applies implicitly (batch 3) and, as a
   // node removal, compacts the store.
@@ -620,20 +620,6 @@ TEST(CliTest, EditScriptAppliesIncrementally) {
   Status st = RunCli({"edit", store, "--script", script}, &out);
   EXPECT_TRUE(st.IsInvalidArgument());
   EXPECT_NE(st.message().find("line 1"), std::string::npos);
-
-  // --mode full forces the legacy whole-graph rebuild.
-  ASSERT_TRUE(
-      graph::WriteStringToFile("add-edge 0 50\napply\n", script).ok());
-  out.clear();
-  ASSERT_TRUE(RunCli({"edit", store, "--script", script, "--mode", "full"},
-                     &out)
-                  .ok())
-      << out;
-  EXPECT_NE(out.find("mode=full-rebuild"), std::string::npos);
-  out.clear();
-  EXPECT_TRUE(RunCli({"edit", store, "--script", script, "--mode", "bogus"},
-                     &out)
-                  .IsInvalidArgument());
 
   for (const std::string& p :
        {prefix + ".edges", prefix + ".labels", store, script}) {

@@ -196,7 +196,6 @@ TEST(EditRepairTest, CrossLeafEdgeTouchesOnlyConnectivity) {
   edit.AddEdge(u, v, 2.0f);
   EditStats stats;
   ASSERT_TRUE(f.engine->ApplyEdit(edit, {}, &stats).ok());
-  EXPECT_TRUE(stats.incremental);
   EXPECT_FALSE(stats.compacted);
   EXPECT_EQ(stats.classification.cross_leaf_edge_ops, 1u);
   EXPECT_EQ(stats.pages_written, 0u);  // cross edges live in no page
@@ -356,7 +355,6 @@ TEST(EditRepairTest, RandomizedScriptStaysEquivalentAtEveryStep) {
     EditStats stats;
     Status st = f.engine->ApplyEdit(edit, {}, &stats);
     ASSERT_TRUE(st.ok()) << "step " << step << ": " << st.ToString();
-    EXPECT_TRUE(stats.incremental);
     shadow = std::move(shadow_next).value().graph;
 
     ExpectEquivalent(*f.engine, shadow,
@@ -460,21 +458,6 @@ TEST(EditRepairTest, RecordedBuildShapeGovernsRepair) {
   EXPECT_EQ(engine.value()->tree().DebugString(), shape_before);
   engine.value().reset();
   std::remove(path.c_str());
-}
-
-TEST(EditRepairTest, FullRebuildPolicyStillWorks) {
-  EngineOptions opts = SmallBuild();
-  opts.edit.incremental = false;
-  Fixture f = Make("fullpolicy", opts);
-  GraphEdit edit(f.dblp.graph.num_nodes());
-  edit.AddEdge(0, 1, 1.0f);
-  EditStats stats;
-  ASSERT_TRUE(f.engine->ApplyEdit(edit, {}, &stats).ok());
-  EXPECT_FALSE(stats.incremental);
-  EXPECT_TRUE(stats.compacted);
-  auto g = f.engine->full_graph();
-  ASSERT_TRUE(g.ok());
-  EXPECT_TRUE(g.value()->HasEdge(0, 1));
 }
 
 TEST(GraphEditFastTest, ApplyFastMatchesApplyExactly) {

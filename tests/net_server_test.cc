@@ -10,11 +10,9 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -506,9 +504,7 @@ TEST(NetServerTest, PrefetchWarmsTheSharedCache) {
   ServerFixture f = MakeFixture("net_prefetch");
   SessionManager pool(f.store.get());
   core::Prefetcher prefetcher(f.store.get());
-  ServerOptions sopts;
-  sopts.prefetch = true;
-  Server server(&pool, sopts, &prefetcher);
+  Server server(&pool, {}, &prefetcher);
   ASSERT_TRUE(server.Start().ok());
 
   Client client;
@@ -616,52 +612,6 @@ TEST(NetServerTest, ReadOnlyServerRejectsEditOps) {
   server.Stop();
 }
 
-/// Edit hooks of an engine-backed writable server, mirroring `gmine
-/// server --writable on`: with a WAL the batches flow through the
-/// group-commit queue (`*queue` is created), without one a mutex
-/// serializes ApplyEdit and acks carry lsn=0.
-ServerOptions WritableOptions(core::GMineEngine* eng, uint32_t num_nodes,
-                              std::unique_ptr<core::EditQueue>* queue) {
-  ServerOptions sopts;
-  sopts.writable = true;
-  if (eng->wal() != nullptr) {
-    *queue = std::make_unique<core::EditQueue>(eng);
-    core::EditQueue* q = queue->get();
-    sopts.tip_nodes = [q] { return q->tip_nodes(); };
-    sopts.apply_edit = [q](graph::GraphEdit edit,
-                           std::vector<std::string> labels)
-        -> gmine::Result<EditAck> {
-      auto fut = q->Submit(std::move(edit), std::move(labels));
-      if (!fut.ok()) return fut.status();
-      core::EditCommit commit = fut.value().get();
-      if (!commit.status.ok()) return commit.status;
-      EditAck ack;
-      ack.lsn = commit.lsn;
-      ack.epoch = commit.epoch;
-      ack.group_size = commit.group_size;
-      return ack;
-    };
-    return sopts;
-  }
-  auto edit_mu = std::make_shared<std::mutex>();
-  auto tip = std::make_shared<std::atomic<uint32_t>>(num_nodes);
-  sopts.tip_nodes = [tip] { return tip->load(); };
-  sopts.apply_edit = [eng, edit_mu, tip](graph::GraphEdit edit,
-                                         std::vector<std::string> labels)
-      -> gmine::Result<EditAck> {
-    std::lock_guard<std::mutex> lock(*edit_mu);
-    core::EditStats stats;
-    GMINE_RETURN_IF_ERROR(eng->ApplyEdit(edit, labels, &stats));
-    tip->store(static_cast<uint32_t>(
-        tip->load() + stats.classification.added_vertices -
-        stats.classification.removed_vertices));
-    EditAck ack;
-    ack.epoch = stats.epoch;
-    return ack;
-  };
-  return sopts;
-}
-
 /// The rows of a GQL JSON result body (its stats section dropped).
 std::string ResultRows(const std::string& body) {
   const size_t begin = body.find("\"rows\":");
@@ -695,9 +645,8 @@ TEST(NetServerTest, QueryAfterRemoteEditReadsTheNewEpoch) {
     auto engine = std::move(core::GMineEngine::Build(dblp.graph, dblp.labels,
                                                      path, eopts))
                       .value();
-    std::unique_ptr<core::EditQueue> queue;
-    Server server(&engine->sessions(),
-                  WritableOptions(engine.get(), n, &queue));
+    core::EditQueue queue(engine.get());
+    Server server(&engine->sessions(), {}, nullptr, &queue);
     ASSERT_TRUE(server.Start().ok());
 
     Client client;
@@ -723,7 +672,7 @@ TEST(NetServerTest, QueryAfterRemoteEditReadsTheNewEpoch) {
     (void)client.Roundtrip("close");
     client.Close();
     server.Stop();
-    if (queue != nullptr) queue->Stop();
+    queue.Stop();
 
     auto fresh = query::Executor(&engine->store()).ExecuteText("MINE DEGREES");
     ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
@@ -737,8 +686,8 @@ TEST(NetServerTest, QueryAfterRemoteEditReadsTheNewEpoch) {
 }
 
 TEST(NetServerTest, WritableServerCommitsEditBatchWithAck) {
-  // Engine-backed writable server without a WAL: acks carry lsn=0 and
-  // the publishing epoch.
+  // Writable server whose engine has no WAL: the edit queue still
+  // commits, and acks carry lsn=0 and the publishing epoch.
   gen::DblpOptions gopts;
   gopts.levels = 2;
   gopts.fanout = 3;
@@ -755,10 +704,8 @@ TEST(NetServerTest, WritableServerCommitsEditBatchWithAck) {
                                          eopts))
           .value();
 
-  std::unique_ptr<core::EditQueue> queue;
-  Server server(&engine->sessions(),
-                WritableOptions(engine.get(), dblp.graph.num_nodes(),
-                                &queue));
+  core::EditQueue queue(engine.get());
+  Server server(&engine->sessions(), {}, nullptr, &queue);
   ASSERT_TRUE(server.Start().ok());
 
   Client client;
@@ -816,10 +763,89 @@ TEST(NetServerTest, WritableServerCommitsEditBatchWithAck) {
   (void)client.Roundtrip("close");
   client.Close();
   server.Stop();
+  queue.Stop();
   // Only the engine's own pinned default session remains.
   EXPECT_EQ(engine->sessions().size(), 1u);
   engine.reset();
   std::remove(path.c_str());
+}
+
+TEST(NetServerTest, InterleavedBatchesFromTwoConnectionsBothCommit) {
+  // Two clients build batches against the same tip: A queues a node,
+  // B queues, applies and commits its own node first, then A applies.
+  // The queue rebases A's provisional id past B's, with and without a
+  // WAL; only the ack's lsn tells the two apart.
+  gen::DblpOptions gopts;
+  gopts.levels = 2;
+  gopts.fanout = 3;
+  gopts.leaf_size = 20;
+  gopts.seed = 7;
+  gen::DblpGraph dblp = std::move(gen::GenerateDblp(gopts)).value();
+  const uint32_t n = dblp.graph.num_nodes();
+  for (bool wal : {false, true}) {
+    SCOPED_TRACE(wal ? "wal on" : "wal off");
+    const std::string path = std::string(::testing::TempDir()) +
+                             (wal ? "/net_interleave_wal.gtree"
+                                  : "/net_interleave.gtree");
+    std::remove((path + ".wal").c_str());
+    core::EngineOptions eopts;
+    eopts.build.levels = 2;
+    eopts.build.fanout = 3;
+    eopts.wal.enabled = wal;
+    auto engine = std::move(core::GMineEngine::Build(dblp.graph, dblp.labels,
+                                                     path, eopts))
+                      .value();
+    core::EditQueue queue(engine.get());
+    Server server(&engine->sessions(), {}, nullptr, &queue);
+    ASSERT_TRUE(server.Start().ok());
+
+    Client a;
+    Client b;
+    ASSERT_TRUE(a.Connect("127.0.0.1", server.port()).ok());
+    ASSERT_TRUE(b.Connect("127.0.0.1", server.port()).ok());
+    auto queued_a = a.Roundtrip("edit add-node Alpha");
+    ASSERT_TRUE(queued_a.ok());
+    EXPECT_EQ(queued_a.value().text,
+              StrFormat("queued add-node id=%u ops=1", n));
+    auto queued_b = b.Roundtrip("edit add-node Beta");
+    ASSERT_TRUE(queued_b.ok());
+    EXPECT_EQ(queued_b.value().text,
+              StrFormat("queued add-node id=%u ops=1", n));
+    auto ack_b = b.Roundtrip("edit apply");
+    ASSERT_TRUE(ack_b.ok());
+    ASSERT_TRUE(ack_b.value().ok) << ack_b.value().text;
+    auto ack_a = a.Roundtrip("edit apply");
+    ASSERT_TRUE(ack_a.ok());
+    ASSERT_TRUE(ack_a.value().ok) << ack_a.value().text;
+    const std::string lsn_b = wal ? "lsn=1 " : "lsn=0 ";
+    const std::string lsn_a = wal ? "lsn=2 " : "lsn=0 ";
+    EXPECT_EQ(ack_b.value().text.find("committed ops=1 " + lsn_b), 0u)
+        << ack_b.value().text;
+    EXPECT_EQ(ack_a.value().text.find("committed ops=1 " + lsn_a), 0u)
+        << ack_a.value().text;
+
+    // A's node landed past B's: Beta is n, Alpha is n + 1.
+    auto located_a = a.Roundtrip("locate Alpha");
+    ASSERT_TRUE(located_a.ok());
+    EXPECT_TRUE(located_a.value().ok) << located_a.value().text;
+    auto located_b = b.Roundtrip("locate Beta");
+    ASSERT_TRUE(located_b.ok());
+    EXPECT_TRUE(located_b.value().ok) << located_b.value().text;
+    (void)a.Roundtrip("close");
+    (void)b.Roundtrip("close");
+    a.Close();
+    b.Close();
+    server.Stop();
+    queue.Stop();
+    EXPECT_EQ(queue.stats().committed, 2u);
+    EXPECT_EQ(engine->store().num_graph_nodes(), n + 2);
+    EXPECT_EQ(engine->labels().Find("Beta"), n);
+    EXPECT_EQ(engine->labels().Find("Alpha"), n + 1);
+    EXPECT_EQ(engine->store().applied_lsn(), wal ? 2u : 0u);
+    engine.reset();
+    std::remove(path.c_str());
+    std::remove((path + ".wal").c_str());
+  }
 }
 
 }  // namespace

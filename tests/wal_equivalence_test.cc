@@ -3,7 +3,8 @@
 // the engine in exactly the state serial depth-1 commits produce —
 // same graph, same labels, same navigation transcript, and (after a
 // compaction rewrites the store deterministically) byte-identical
-// store files.
+// store files. The queue without a WAL must publish that same state
+// and leave the store's LSN watermark at 0.
 
 #include <gtest/gtest.h>
 
@@ -141,15 +142,16 @@ std::string NavigationTranscript(GMineEngine& engine) {
 }
 
 // Runs `script` through an EditQueue with the given group depth on a
-// fresh copy of `base_bytes`; returns the opened post-script engine.
+// fresh copy of `base_bytes`, over an engine with or without a WAL;
+// returns the opened post-script engine.
 std::unique_ptr<GMineEngine> RunQueued(const std::string& base_bytes,
                                        const std::string& store,
                                        const Script& script,
-                                       size_t group_depth) {
+                                       size_t group_depth, bool wal = true) {
   std::remove((store + ".wal").c_str());
   EXPECT_TRUE(graph::WriteStringToFile(base_bytes, store).ok());
   EngineOptions opts;
-  opts.wal.enabled = true;
+  opts.wal.enabled = wal;
   auto engine = GMineEngine::Open(store, opts);
   EXPECT_TRUE(engine.ok());
   if (!engine.ok()) return nullptr;
@@ -166,6 +168,7 @@ std::unique_ptr<GMineEngine> RunQueued(const std::string& base_bytes,
     for (auto& f : futures) {
       core::EditCommit commit = f.get();
       EXPECT_TRUE(commit.status.ok()) << commit.status.ToString();
+      if (!wal) EXPECT_EQ(commit.lsn, 0u);
     }
     if (group_depth > 1) {
       EXPECT_GT(queue.stats().max_group, 1u);  // coalescing happened
@@ -173,6 +176,25 @@ std::unique_ptr<GMineEngine> RunQueued(const std::string& base_bytes,
     queue.Stop();
   }
   return std::move(engine).value();
+}
+
+// A grouped run without a WAL publishes what the serial logged run
+// does — graph, labels and navigation — and records no LSN. (Base's
+// leaves sit at the tree's full depth, so no add re-splits one.)
+void ExpectUnloggedMatches(GMineEngine& unlogged, GMineEngine& serial,
+                           uint64_t seed) {
+  EXPECT_EQ(unlogged.wal(), nullptr);
+  EXPECT_EQ(unlogged.store().applied_lsn(), 0u);
+  auto gu = unlogged.full_graph();
+  auto gs = serial.full_graph();
+  ASSERT_TRUE(gu.ok());
+  ASSERT_TRUE(gs.ok());
+  EXPECT_EQ(GraphFingerprint(*gu.value()), GraphFingerprint(*gs.value()))
+      << "seed=" << seed;
+  EXPECT_EQ(LabelFingerprint(unlogged), LabelFingerprint(serial))
+      << "seed=" << seed;
+  EXPECT_EQ(NavigationTranscript(unlogged), NavigationTranscript(serial))
+      << "seed=" << seed;
 }
 
 struct Base {
@@ -205,12 +227,15 @@ TEST(WalEquivalenceTest, EdgeScriptsGroupedEqualsSerial) {
   const uint32_t n = base.dblp.graph.num_nodes();
   const std::string store_a = TempPath("wal_eq_edge_a.gtree");
   const std::string store_b = TempPath("wal_eq_edge_b.gtree");
+  const std::string store_c = TempPath("wal_eq_edge_c.gtree");
   for (uint64_t seed : {7u, 99u, 4242u}) {
     Script script = EdgeOnlyScript(n, seed, 60);
     auto grouped = RunQueued(base.bytes, store_a, script, 8);
     auto serial = RunQueued(base.bytes, store_b, script, 1);
+    auto unlogged = RunQueued(base.bytes, store_c, script, 8, /*wal=*/false);
     ASSERT_NE(grouped, nullptr);
     ASSERT_NE(serial, nullptr);
+    ASSERT_NE(unlogged, nullptr);
     // Same commit watermark: both applied one LSN per script edit.
     EXPECT_EQ(grouped->store().applied_lsn(), script.edits.size());
     EXPECT_EQ(serial->store().applied_lsn(), script.edits.size());
@@ -224,6 +249,9 @@ TEST(WalEquivalenceTest, EdgeScriptsGroupedEqualsSerial) {
     EXPECT_EQ(LabelFingerprint(*grouped), LabelFingerprint(*serial));
     EXPECT_EQ(NavigationTranscript(*grouped), NavigationTranscript(*serial))
         << "seed=" << seed;
+    ExpectUnloggedMatches(*unlogged, *serial, seed);
+    unlogged.reset();
+    std::remove(store_c.c_str());
 
     // Force a compaction (a node removal rewrites the whole store
     // deterministically) on both; with equal state and equal LSN the
@@ -253,15 +281,18 @@ TEST(WalEquivalenceTest, VertexScriptsGroupedEqualsSerial) {
   const uint32_t n = base.dblp.graph.num_nodes();
   const std::string store_a = TempPath("wal_eq_vertex_a.gtree");
   const std::string store_b = TempPath("wal_eq_vertex_b.gtree");
+  const std::string store_c = TempPath("wal_eq_vertex_c.gtree");
   for (uint64_t seed : {11u, 300u}) {
     Script script = VertexScript(n, seed, 40);
     auto grouped = RunQueued(base.bytes, store_a, script, 8);
     auto serial = RunQueued(base.bytes, store_b, script, 1);
+    auto unlogged = RunQueued(base.bytes, store_c, script, 8, /*wal=*/false);
     ASSERT_NE(grouped, nullptr);
     ASSERT_NE(serial, nullptr);
-    // Graph topology and labels must agree (the tree's adoption order
-    // for new nodes may differ between grouped and serial repair, so
-    // no transcript/byte comparison here).
+    ASSERT_NE(unlogged, nullptr);
+    // Graph topology and labels must agree (grouped and serial repair
+    // may place new nodes differently once a leaf re-splits, so no
+    // byte comparison here).
     auto ga = grouped->full_graph();
     auto gb = serial->full_graph();
     ASSERT_TRUE(ga.ok());
@@ -270,10 +301,13 @@ TEST(WalEquivalenceTest, VertexScriptsGroupedEqualsSerial) {
         << "seed=" << seed;
     EXPECT_EQ(LabelFingerprint(*grouped), LabelFingerprint(*serial))
         << "seed=" << seed;
+    ExpectUnloggedMatches(*unlogged, *serial, seed);
+    unlogged.reset();
     grouped.reset();
     serial.reset();
     std::remove(store_a.c_str());
     std::remove(store_b.c_str());
+    std::remove(store_c.c_str());
     std::remove((store_a + ".wal").c_str());
     std::remove((store_b + ".wal").c_str());
   }

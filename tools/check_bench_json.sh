@@ -4,9 +4,9 @@
 # that breaks run_benches.sh or drops a sweep cannot merge silently.
 #
 # Checks:
-#   * every required sweep is present (incl. gtree_edit_incremental and
-#     its full-rebuild companion column from the edits bench, and
-#     source_walks, whose columns are RWR source counts);
+#   * every required sweep is present (incl. gtree_edit_incremental
+#     from the edits bench, and source_walks, whose columns are RWR
+#     source counts);
 #   * every sweep has >= 2 numeric columns, all distinct positive
 #     integers (monotone when sorted) plus optionally "auto";
 #   * every entry carries finite real_ns > 0 (no NaN/Inf) and
@@ -61,7 +61,6 @@ required = [
     "session_pool_navigate",
     "server_navigate",
     "gtree_edit_incremental",
-    "gtree_edit_full",
     "buffer_pool_navigate",
     "wal_group_commit",
     "query_pushdown",

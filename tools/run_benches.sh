@@ -69,7 +69,7 @@ run_sweep bench_rwr 'BM_RwrThreads' "$TMP_DIR/rwr.json"
 run_sweep bench_csg_extraction 'BM_SourceWalks' "$TMP_DIR/source_walks.json"
 run_sweep bench_scale 'BM_(GTreeBuildShards|SessionPoolNavigate)' "$TMP_DIR/gtree_build.json"
 run_sweep bench_server 'BM_ServerNavigate' "$TMP_DIR/server.json"
-run_sweep bench_edits 'BM_GTreeEdit(Incremental|FullRebuild)' "$TMP_DIR/edits.json"
+run_sweep bench_edits 'BM_GTreeEditIncremental' "$TMP_DIR/edits.json"
 run_sweep bench_buffer_pool 'BM_BufferPoolNavigate' "$TMP_DIR/buffer_pool.json"
 run_sweep bench_wal 'BM_WalGroupCommit' "$TMP_DIR/wal.json"
 run_sweep bench_query 'BM_QueryPushdown' "$TMP_DIR/query.json"
@@ -97,10 +97,8 @@ kernel_names = {
     # (fixed request budget)
     "BM_ServerNavigate": "server_navigate",
     # arg = TOTAL GRAPH SIZE (nodes), not threads: a single-edge
-    # ApplyEdit through the incremental repair vs the legacy full
-    # rebuild (docs/EDITS.md)
+    # ApplyEdit through the incremental repair (docs/EDITS.md)
     "BM_GTreeEditIncremental": "gtree_edit_incremental",
-    "BM_GTreeEditFullRebuild": "gtree_edit_full",
     # arg = stores sharing one fixed-budget buffer pool; extra columns
     # hit_rate (in [0,1]) and resident_bytes (peak) ride along
     "BM_BufferPoolNavigate": "buffer_pool_navigate",
