@@ -87,19 +87,19 @@ WalBench* GetWalBench(int64_t depth) {
 // Submits one burst of `depth` edits and waits for every ack. Returns
 // false on any commit failure.
 bool RunBurst(WalBench* bench, size_t depth) {
-  const uint32_t n = bench->queue->tip_nodes();
+  const core::EditTip tip = bench->queue->tip();
   std::vector<std::future<core::EditCommit>> acks;
   acks.reserve(depth);
   for (size_t j = 0; j < depth; ++j) {
     const size_t p = bench->cursor++ % bench->pairs.size();
-    graph::GraphEdit edit(n);
+    graph::GraphEdit edit(tip.nodes);
     if (bench->present[p]) {
       edit.RemoveEdge(bench->pairs[p].first, bench->pairs[p].second);
     } else {
       edit.AddEdge(bench->pairs[p].first, bench->pairs[p].second, 2.0f);
     }
     bench->present[p] = !bench->present[p];
-    auto fut = bench->queue->Submit(std::move(edit));
+    auto fut = bench->queue->Submit(std::move(edit), tip.remap_epoch);
     if (!fut.ok()) return false;
     acks.push_back(std::move(fut).value());
   }

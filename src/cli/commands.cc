@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <optional>
+#include <string_view>
 
 #include "core/catalog.h"
 #include "core/edit_queue.h"
@@ -503,6 +504,7 @@ Status RunEditScript(GMineEngine* engine, core::EditQueue* queue,
                      const std::string& script, std::string* out) {
   std::optional<graph::GraphEdit> edit;
   std::vector<std::string> pending_labels;
+  uint64_t batch_remap_epoch = 0;  // queued mode: the tip's epoch
   size_t batch = 0;
   size_t line_no = 0;
   // Queued mode: acks collected here and reported after the drain.
@@ -513,7 +515,9 @@ Status RunEditScript(GMineEngine* engine, core::EditQueue* queue,
     if (queue != nullptr) {
       // The committer thread owns the engine's graph while the queue
       // runs; base the batch on the queue's committed tip instead.
-      edit.emplace(queue->tip_nodes());
+      const core::EditTip tip = queue->tip();
+      edit.emplace(tip.nodes);
+      batch_remap_epoch = tip.remap_epoch;
       return Status::OK();
     }
     edit.emplace(engine->store().num_graph_nodes());
@@ -528,7 +532,8 @@ Status RunEditScript(GMineEngine* engine, core::EditQueue* queue,
     ++batch;
     if (queue != nullptr) {
       const size_t ops = edit->num_ops();
-      auto fut = queue->Submit(std::move(*edit), pending_labels);
+      auto fut =
+          queue->Submit(std::move(*edit), batch_remap_epoch, pending_labels);
       if (!fut.ok()) return fut.status();
       *out += StrFormat("[batch %zu] ops=%zu submitted\n", batch, ops);
       acks.emplace_back(batch, std::move(fut).value());
@@ -1468,25 +1473,66 @@ gmine::Result<CommandLine> ParseCommandLine(
   return cmd;
 }
 
+namespace {
+
+Status CmdHelp(const CommandLine&, std::string* out) {
+  *out += UsageText();
+  return Status::OK();
+}
+
+/// A command and every flag it reads; RunCommand refuses any other.
+struct CommandSpec {
+  std::string_view name;
+  Status (*run)(const CommandLine&, std::string*);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<CommandSpec>& Commands() {
+  static const std::vector<CommandSpec> commands = {
+      {"generate", CmdGenerate, {"out", "levels", "fanout", "leaf-size",
+                                 "seed"}},
+      {"build", CmdBuild, {"graph", "labels", "out", "levels", "fanout",
+                           "shards", "threads", "stream", "leaf-size",
+                           "mem-budget-mb"}},
+      {"mine", CmdMine, {"kernel", "top", "mem-budget-mb", "checkpoint",
+                         "checkpoint-every", "resume"}},
+      {"info", CmdInfo, {}},
+      {"query", CmdQuery, {"label", "script", "pushdown", "threads"}},
+      {"extract", CmdExtract, {"source", "budget", "svg"}},
+      {"render", CmdRender, {"focus", "zoom", "svg"}},
+      {"export", CmdExport, {"community", "dot", "graphml"}},
+      {"edit", CmdEdit, {"script", "max-leaf-size", "compact-ops",
+                         "mem-budget-mb", "wal", "wal-durable",
+                         "group-ops"}},
+      {"serve", CmdServe, {"sessions", "script", "threads",
+                           "mem-budget-mb"}},
+      {"server", CmdServer, {"port", "max-clients", "threads",
+                             "mem-budget-mb", "idle-timeout-ms", "prefetch",
+                             "port-file", "wal", "writable"}},
+      {"gateway", CmdGateway, {"port", "max-conns", "reactor-threads",
+                               "mem-budget-mb", "session-quota",
+                               "token-file", "port-file"}},
+      {"stats", CmdStats, {"mem-budget-mb"}},
+      {"connect", CmdConnect, {"script", "save-body"}},
+      {"ws", CmdWs, {"token-file", "ops", "script"}},
+      {"help", CmdHelp, {}},
+  };
+  return commands;
+}
+
+}  // namespace
+
 Status RunCommand(const CommandLine& cmd, std::string* out) {
-  if (cmd.command == "generate") return CmdGenerate(cmd, out);
-  if (cmd.command == "build") return CmdBuild(cmd, out);
-  if (cmd.command == "mine") return CmdMine(cmd, out);
-  if (cmd.command == "info") return CmdInfo(cmd, out);
-  if (cmd.command == "query") return CmdQuery(cmd, out);
-  if (cmd.command == "extract") return CmdExtract(cmd, out);
-  if (cmd.command == "render") return CmdRender(cmd, out);
-  if (cmd.command == "export") return CmdExport(cmd, out);
-  if (cmd.command == "edit") return CmdEdit(cmd, out);
-  if (cmd.command == "serve") return CmdServe(cmd, out);
-  if (cmd.command == "server") return CmdServer(cmd, out);
-  if (cmd.command == "gateway") return CmdGateway(cmd, out);
-  if (cmd.command == "stats") return CmdStats(cmd, out);
-  if (cmd.command == "connect") return CmdConnect(cmd, out);
-  if (cmd.command == "ws") return CmdWs(cmd, out);
-  if (cmd.command == "help") {
-    *out += UsageText();
-    return Status::OK();
+  for (const CommandSpec& spec : Commands()) {
+    if (spec.name != cmd.command) continue;
+    for (const auto& [flag, value] : cmd.flags) {
+      if (std::find(spec.flags.begin(), spec.flags.end(), flag) ==
+          spec.flags.end()) {
+        return UsageError(StrFormat("%s: unknown flag --%s",
+                                    cmd.command.c_str(), flag.c_str()));
+      }
+    }
+    return spec.run(cmd, out);
   }
   return UsageError(StrFormat("unknown command '%s'",
                               cmd.command.c_str()));

@@ -64,7 +64,8 @@ gmine::Result<CommandLine> ParseCommandLine(
     const std::vector<std::string>& args);
 
 /// Executes a command; human-readable output is appended to `out`.
-/// Returns a non-OK status on failure (bad usage = InvalidArgument).
+/// Returns a non-OK status on failure (bad usage = InvalidArgument,
+/// including any flag the command does not read).
 Status RunCommand(const CommandLine& cmd, std::string* out);
 
 /// Convenience: parse + run.

@@ -57,7 +57,8 @@ EditQueue::EditQueue(GMineEngine* engine, const EditQueueOptions& options)
 EditQueue::~EditQueue() { Stop(); }
 
 gmine::Result<std::future<EditCommit>> EditQueue::Submit(
-    graph::GraphEdit edit, std::vector<std::string> labels) {
+    graph::GraphEdit edit, uint64_t remap_epoch,
+    std::vector<std::string> labels) {
   std::lock_guard<std::mutex> lock(mu_);
   if (stop_) return Status::Aborted("edit queue stopped");
   if (queue_.size() >= options_.max_pending) {
@@ -66,7 +67,7 @@ gmine::Result<std::future<EditCommit>> EditQueue::Submit(
   Pending pending;
   pending.edit = std::move(edit);
   pending.labels = std::move(labels);
-  pending.remap_epoch = remap_epoch_;
+  pending.remap_epoch = remap_epoch;
   std::future<EditCommit> fut = pending.promise.get_future();
   queue_.push_back(std::move(pending));
   ++stats_.submitted;
@@ -88,14 +89,9 @@ void EditQueue::Stop() {
   if (committer_.joinable()) committer_.join();
 }
 
-uint32_t EditQueue::tip_nodes() const {
+EditTip EditQueue::tip() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return tip_nodes_;
-}
-
-uint64_t EditQueue::remap_epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return remap_epoch_;
+  return EditTip{tip_nodes_, remap_epoch_};
 }
 
 EditQueueStats EditQueue::stats() const {
@@ -207,7 +203,7 @@ void EditQueue::CommitGroup(std::vector<Pending> group) {
   rebased.reserve(group.size());
   for (Pending& p : group) {
     // Align labels with the member's added nodes so the merged
-    // concatenation below stays keyed by edit-result order.
+    // concatenation below stays keyed by provisional id.
     p.labels.resize(p.edit.added_node_weights().size());
     graph::GraphEdit r = RebaseEdit(p.edit, serial_base);
     if (wal != nullptr) {

@@ -13,9 +13,12 @@
 // grown to N through earlier groups or earlier members of its own
 // group. Provisional ids (>= M) shift up by N - M; real ids (< M) are
 // stable because node REMOVALS — the only id-remapping operation —
-// bump the queue's remap epoch, and edits submitted under an older
-// epoch are rejected with Aborted instead of silently landing on
-// renumbered nodes.
+// bump the queue's remap epoch, and edits built under an older epoch
+// are rejected with Aborted instead of silently landing on renumbered
+// nodes. A writer reads the base and the epoch together from tip()
+// when it starts building an edit, and hands that epoch to Submit —
+// a server connection's batch may stay open while other connections
+// commit.
 //
 // Group barriers keep "merged apply" equivalent to "serial apply":
 //   * a node-removal edit always commits alone (its id remap must be
@@ -84,6 +87,13 @@ struct EditCommit {
   size_t group_size = 0;
 };
 
+/// The committed graph a new edit is built over: its node count and
+/// the remap epoch, read together.
+struct EditTip {
+  uint32_t nodes = 0;
+  uint64_t remap_epoch = 0;
+};
+
 /// Cumulative queue counters (stats()).
 struct EditQueueStats {
   uint64_t submitted = 0;
@@ -115,13 +125,27 @@ class EditQueue {
   EditQueue(const EditQueue&) = delete;
   EditQueue& operator=(const EditQueue&) = delete;
 
-  /// Enqueues an edit built against the engine's *current* graph.
-  /// `labels` names the edit's added nodes in edit-result order. The
-  /// future resolves once the edit's group is published — and durably
-  /// logged first, with a WAL — or failed. Aborted when the queue is
-  /// stopped or full.
+  /// Enqueues an edit. `remap_epoch` is the epoch of the tip() read
+  /// the edit was built on; its base is that read's node count, or the
+  /// count the writer's own earlier queued edits grow it to.
+  /// `labels[i]` names the provisional node `edit.base_nodes() + i`.
+  /// The future resolves once the edit's group is published — and
+  /// durably logged first, with a WAL — or failed; Aborted when a node
+  /// removal committed after that epoch. Aborted at once when the
+  /// queue is stopped or full.
   gmine::Result<std::future<EditCommit>> Submit(
-      graph::GraphEdit edit, std::vector<std::string> labels = {});
+      graph::GraphEdit edit, uint64_t remap_epoch,
+      std::vector<std::string> labels = {});
+
+  /// Single-writer shorthand that perfbench's traced replay
+  /// (perfbench/trace.cc) builds on: stamps the epoch current at this
+  /// call, so it is only right when nothing else commits between the
+  /// tip_nodes() read and the Submit. Everything else reads tip() and
+  /// passes its epoch.
+  gmine::Result<std::future<EditCommit>> Submit(
+      graph::GraphEdit edit, std::vector<std::string> labels) {
+    return Submit(std::move(edit), tip().remap_epoch, std::move(labels));
+  }
 
   /// Blocks until every previously submitted edit has resolved.
   void Drain();
@@ -129,12 +153,13 @@ class EditQueue {
   /// Drains, then joins the committer. Subsequent Submits are Aborted.
   void Stop();
 
-  /// Node count of the graph as of the last committed group.
-  uint32_t tip_nodes() const;
+  /// The node count of the graph as of the last committed group and
+  /// the remap epoch (bumped by every committed node removal), read
+  /// under one lock: the base and epoch to build an edit on.
+  EditTip tip() const;
 
-  /// Bumped by every committed node-removal; submissions that were
-  /// built before the bump are rejected.
-  uint64_t remap_epoch() const;
+  /// tip().nodes, for the single-writer Submit shorthand above.
+  uint32_t tip_nodes() const { return tip().nodes; }
 
   EditQueueStats stats() const;
 

@@ -132,35 +132,6 @@ Status GMineEngine::ApplyEdit(const graph::GraphEdit& edit,
   if (!edited.ok()) return edited.status();
   graph::EditResult result = std::move(edited).value();
 
-  // Remap surviving labels and name the added nodes from `new_labels` —
-  // but only when something about them actually changes: the remap
-  // copies every label, which must not tax the pure-edge hot path.
-  bool adds_labels = false;
-  for (size_t i = 0; i < result.added_nodes.size() && i < new_labels.size();
-       ++i) {
-    adds_labels = adds_labels || !new_labels[i].empty();
-  }
-  const bool labels_changed =
-      (!edit.removed_nodes().empty() && !store_->labels().empty()) ||
-      adds_labels;
-  graph::LabelStore labels;
-  if (labels_changed) {
-    for (graph::NodeId old_id = 0;
-         old_id < store_->labels().size() &&
-         old_id < result.old_to_new.size();
-         ++old_id) {
-      graph::NodeId new_id = result.old_to_new[old_id];
-      if (new_id == graph::kInvalidNode) continue;
-      std::string_view label = store_->labels().Label(old_id);
-      if (!label.empty()) labels.SetLabel(new_id, std::string(label));
-    }
-    for (size_t i = 0;
-         i < result.added_nodes.size() && i < new_labels.size(); ++i) {
-      if (new_labels[i].empty()) continue;
-      labels.SetLabel(result.added_nodes[i], new_labels[i]);
-    }
-  }
-
   // Repair only what the edit touched (gtree/edit_repair.h).
   gtree::RepairOptions ropts;
   ropts.build = options_.build;
@@ -171,6 +142,34 @@ Status GMineEngine::ApplyEdit(const graph::GraphEdit& edit,
   gtree::RepairResult& rep = repaired.value();
   out.classification = rep.classification;
   out.subtree_rebuilds = rep.subtree_rebuilds;
+
+  // new_labels[i] names provisional node base_nodes + i; one the batch
+  // itself removed has no post-edit id.
+  gtree::AddedLabels added_labels;
+  for (size_t i = 0; i < new_labels.size() &&
+                     i < edit.added_node_weights().size();
+       ++i) {
+    const NodeId id = result.old_to_new[edit.base_nodes() + i];
+    if (new_labels[i].empty() || id == graph::kInvalidNode) continue;
+    added_labels.emplace_back(id, new_labels[i]);
+  }
+  // Only an edit that renumbers ids rebuilds the label store; every
+  // other edit hands the store just the labels it added.
+  graph::LabelStore relabeled;
+  if (rep.classification.needs_remap) {
+    for (NodeId old_id = 0; old_id < store_->labels().size() &&
+                            old_id < result.old_to_new.size();
+         ++old_id) {
+      const NodeId new_id = result.old_to_new[old_id];
+      if (new_id == graph::kInvalidNode) continue;
+      std::string_view label = store_->labels().Label(old_id);
+      if (!label.empty()) relabeled.SetLabel(new_id, std::string(label));
+    }
+    for (auto& [id, label] : added_labels) {
+      relabeled.SetLabel(id, std::move(label));
+    }
+    added_labels.clear();
+  }
 
   // Materialize only the dirty pages.
   std::vector<std::pair<gtree::TreeNodeId, graph::Subgraph>> pages;
@@ -200,7 +199,8 @@ Status GMineEngine::ApplyEdit(const graph::GraphEdit& edit,
   } else {
     update.conn_deltas = &rep.conn_deltas;
   }
-  update.labels = labels_changed ? &labels : nullptr;
+  update.labels = rep.classification.needs_remap ? &relabeled : nullptr;
+  update.added_labels = std::move(added_labels);
   // Id-remapping edits compact the store (every page's global-id
   // mapping shifted); everything else appends + journals.
   update.journal_edit = rep.classification.needs_remap ? nullptr : &edit;

@@ -196,11 +196,14 @@ class GMineEngine {
       std::string_view statement,
       const query::ExecutorOptions& options = {});
 
-  /// Node/edge edition (§III-B): applies `edit` to the graph, remaps
-  /// labels (use `new_labels` to name added nodes, keyed by the ids in
-  /// edit-result order) and repairs the hierarchy incrementally —
-  /// rewriting only the touched subtrees, store pages and connectivity
-  /// rows (docs/EDITS.md). Live pool sessions survive via an epoch
+  /// Node/edge edition (§III-B): applies `edit` to the graph, names
+  /// its added nodes (`new_labels[i]` labels provisional node
+  /// `edit.base_nodes() + i`; one the edit removes again is skipped)
+  /// and repairs the hierarchy incrementally — rewriting only the
+  /// touched subtrees, store pages and connectivity rows
+  /// (docs/EDITS.md). Only an edit that removes a real node rebuilds
+  /// the label store; any other edit journals just the labels it
+  /// added. Live pool sessions survive via an epoch
   /// bump: same ids, reset to the new root. `stats`, when given,
   /// reports what the repair did. Concurrent writers go through one
   /// EditQueue (core/edit_queue.h), the only caller while it runs.

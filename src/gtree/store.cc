@@ -23,7 +23,9 @@ constexpr uint32_t kStoreMagic = 0x47545246;  // "GTRF"
 // build-shape hints were added for incremental edits (ApplyUpdate).
 // v3: the applied write-ahead-log LSN joined the header (storage/wal.h)
 // so crash recovery knows which log records the store already covers.
-constexpr uint32_t kStoreVersion = 3;
+// v4: each journal entry carries the labels of the nodes its edit
+// added, so only a compaction writes the label section.
+constexpr uint32_t kStoreVersion = 4;
 // magic, version, 12 fixed64 section fields, 2 fixed32 counts,
 // build hints (3 fixed32 + 1 fixed64), applied_lsn, checksum.
 constexpr size_t kHeaderSize =
@@ -226,6 +228,18 @@ gmine::Result<LeafPayload> DeserializeLeafPayload(std::string_view blob) {
   return out;
 }
 
+/// One journal entry: the edit blob, then its added labels as a varint
+/// count of (varint node id, length-prefixed label) pairs.
+void PutJournalEntry(std::string* out, const graph::GraphEdit& edit,
+                     const AddedLabels& labels) {
+  PutLengthPrefixed(out, edit.Serialize());
+  PutVarint32(out, static_cast<uint32_t>(labels.size()));
+  for (const auto& [id, label] : labels) {
+    PutVarint32(out, id);
+    PutLengthPrefixed(out, label);
+  }
+}
+
 /// Bytes a header at `t` actually references (the live set): header +
 /// metadata sections + every page in `directory`. Everything else in
 /// the file is dead weight from superseded appends. (Templated because
@@ -372,7 +386,7 @@ Status GTreeStore::LoadMetadata(const std::string& path) {
   GTree tree;
   ConnectivityIndex conn;
   graph::LabelStore labels;
-  std::vector<graph::GraphEdit> journal;
+  std::vector<JournalEntry> journal;
   std::unordered_map<TreeNodeId, PageLocation> directory;
 
   std::string blob;
@@ -418,15 +432,40 @@ Status GTreeStore::LoadMetadata(const std::string& path) {
     if (!GetVarint32(&body, &count)) {
       return Status::Corruption("gtree store: bad journal count");
     }
-    journal.reserve(count);
+    // Every entry takes at least two bytes, so a damaged count cannot
+    // reserve more than the section could hold.
+    journal.reserve(std::min<size_t>(count, body.size()));
     for (uint32_t i = 0; i < count; ++i) {
       std::string_view entry;
-      if (!GetLengthPrefixed(&body, &entry)) {
+      uint32_t num_labels = 0;
+      if (!GetLengthPrefixed(&body, &entry) ||
+          !GetVarint32(&body, &num_labels)) {
         return Status::Corruption("gtree store: truncated journal");
       }
       auto edit = graph::GraphEdit::Deserialize(entry);
       if (!edit.ok()) return edit.status();
-      journal.push_back(std::move(edit).value());
+      JournalEntry je{std::move(edit).value(), {}};
+      for (uint32_t j = 0; j < num_labels; ++j) {
+        uint32_t id = 0;
+        std::string_view label;
+        if (!GetVarint32(&body, &id) || !GetLengthPrefixed(&body, &label)) {
+          return Status::Corruption("gtree store: truncated journal label");
+        }
+        if (id >= t.num_graph_nodes) {
+          return Status::Corruption(
+              "gtree store: journal label past the graph");
+        }
+        je.labels.emplace_back(id, std::string(label));
+      }
+      journal.push_back(std::move(je));
+    }
+    if (!body.empty()) {
+      return Status::Corruption("gtree store: trailing bytes after journal");
+    }
+    // The label section is the base; each entry's labels go on top, in
+    // journal order.
+    for (const JournalEntry& je : journal) {
+      for (const auto& [id, label] : je.labels) labels.SetLabel(id, label);
     }
   }
 
@@ -492,8 +531,8 @@ gmine::Result<graph::Graph> GTreeStore::LoadFullGraph() const {
   // Replay the edit journal: the graph section is the base state and
   // each journaled edit was validated when it was applied live.
   graph::Graph current = std::move(g).value();
-  for (const graph::GraphEdit& edit : journal_) {
-    auto replayed = edit.Apply(current);
+  for (const JournalEntry& entry : journal_) {
+    auto replayed = entry.edit.Apply(current);
     if (!replayed.ok()) {
       return Status::Corruption(
           StrFormat("gtree store: journal replay failed: %s",
@@ -598,6 +637,10 @@ Status GTreeStore::ApplyUpdate(GTreeStoreUpdate& update,
     return Status::InvalidArgument(
         "ApplyUpdate: conn_deltas and replacement_conn are exclusive");
   }
+  if (update.labels != nullptr && !update.added_labels.empty()) {
+    return Status::InvalidArgument(
+        "ApplyUpdate: labels and added_labels are exclusive");
+  }
   GTreeStoreUpdateStats local;
   GTreeStoreUpdateStats& out = stats != nullptr ? *stats : local;
 
@@ -610,6 +653,7 @@ Status GTreeStore::ApplyUpdate(GTreeStoreUpdate& update,
       static_cast<double>(wasted_bytes()) >
           options_.defrag_wasted_ratio * static_cast<double>(live_bytes_);
   const bool compact = update.journal_edit == nullptr ||
+                       update.labels != nullptr ||
                        options_.journal_compact_ops == 0 ||
                        journal_.size() >= options_.journal_compact_ops ||
                        defrag_due;
@@ -628,12 +672,24 @@ Status GTreeStore::ApplyUpdate(GTreeStoreUpdate& update,
         new_conn.ApplyDeltas(*update.conn_deltas);
       }
     }
-    const graph::LabelStore& labels =
-        update.labels != nullptr ? *update.labels : labels_;
+    // The new section holds the live labels plus the edit's; the copy
+    // keeps the live store untouched until the rewrite commits.
+    graph::LabelStore merged;
+    const graph::LabelStore* labels = update.labels;
+    if (labels == nullptr) {
+      labels = &labels_;
+      if (!update.added_labels.empty()) {
+        merged = labels_;
+        for (const auto& [id, label] : update.added_labels) {
+          merged.SetLabel(id, label);
+        }
+        labels = &merged;
+      }
+    }
     const std::string tmp = path_ + ".tmp";
     const uint64_t new_lsn =
         update.applied_lsn != 0 ? update.applied_lsn : applied_lsn_;
-    Status created = Create(tmp, *update.graph, new_tree, new_conn, labels,
+    Status created = Create(tmp, *update.graph, new_tree, new_conn, *labels,
                             &hints_, new_lsn);
     if (!created.ok()) {
       std::remove(tmp.c_str());
@@ -677,16 +733,15 @@ Status GTreeStore::ApplyUpdate(GTreeStoreUpdate& update,
     }
   }
   std::string conn_blob = new_conn.Serialize();
-  std::string labels_blob;
-  if (update.labels != nullptr) labels_blob = update.labels->Serialize();
   std::string journal_blob;
   PutVarint32(&journal_blob, static_cast<uint32_t>(journal_.size() + 1));
-  for (const graph::GraphEdit& e : journal_) {
-    PutLengthPrefixed(&journal_blob, e.Serialize());
+  for (const JournalEntry& e : journal_) {
+    PutJournalEntry(&journal_blob, e.edit, e.labels);
   }
-  PutLengthPrefixed(&journal_blob, update.journal_edit->Serialize());
+  PutJournalEntry(&journal_blob, *update.journal_edit, update.added_labels);
 
-  // Layout: dirty pages first, then tree/conn/[labels]/directory/journal.
+  // Layout: dirty pages first, then tree/conn/directory/journal. The
+  // label section stays where the last compaction wrote it.
   const uint64_t append_base = file_size_;
   std::string appended;
   std::unordered_map<TreeNodeId, PageLocation> new_directory;
@@ -748,14 +803,8 @@ Status GTreeStore::ApplyUpdate(GTreeStoreUpdate& update,
   t.conn_off = append_base + appended.size();
   t.conn_size = conn_blob.size();
   appended += conn_blob;
-  if (update.labels != nullptr) {
-    t.labels_off = append_base + appended.size();
-    t.labels_size = labels_blob.size();
-    appended += labels_blob;
-  } else {
-    t.labels_off = labels_section_.offset;
-    t.labels_size = labels_section_.size;
-  }
+  t.labels_off = labels_section_.offset;
+  t.labels_size = labels_section_.size;
   t.dir_off = append_base + appended.size();
   t.dir_size = directory_blob.size();
   appended += directory_blob;
@@ -805,11 +854,11 @@ Status GTreeStore::ApplyUpdate(GTreeStoreUpdate& update,
   // Commit (infallible from here).
   tree_ = std::move(*update.tree);
   conn_ = std::move(new_conn);
-  if (update.labels != nullptr) {
-    labels_ = *update.labels;
-    labels_section_ = PageLocation{t.labels_off, t.labels_size};
+  for (const auto& [id, label] : update.added_labels) {
+    labels_.SetLabel(id, label);
   }
-  journal_.push_back(*update.journal_edit);
+  journal_.push_back(
+      JournalEntry{*update.journal_edit, std::move(update.added_labels)});
   num_graph_nodes_ = t.num_graph_nodes;
   applied_lsn_ = t.applied_lsn;
   AdoptFullGraph(std::move(update.graph));

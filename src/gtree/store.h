@@ -4,13 +4,17 @@
 //
 // File layout (all little-endian, see store.cc):
 //
-//   header     magic, version, section table, counts, checksum
+//   header     magic, version (4), section table, counts, checksum
 //   tree       full topology (parents, children, names, leaf members)
 //   conn       serialized ConnectivityIndex
-//   labels     serialized LabelStore (may be empty)
+//   labels     serialized LabelStore as of the last compaction (may be
+//              empty)
 //   pages      one blob per leaf: the leaf's induced subgraph + mapping
 //   directory  leaf tree-node id -> (absolute offset, size) of its page
-//   journal    GraphEdits applied since the graph section was written
+//   journal    the entries since the graph and label sections were
+//              written; each holds one GraphEdit blob, then a varint
+//              count and that many (varint node id, length-prefixed
+//              label) pairs naming the nodes the edit added
 //
 // Incremental edits (docs/EDITS.md): ApplyUpdate publishes a repaired
 // hierarchy by appending only the dirty leaf pages plus fresh metadata
@@ -18,11 +22,15 @@
 // last, so clean pages keep their bytes and offsets and a *process*
 // crash before the header write leaves the previous state intact
 // (power-loss ordering additionally needs the opt-in
-// `durable_appends` fdatasync barriers). The embedded graph section
-// stays the *base* graph; the journal section records the edits since,
-// replayed by LoadFullGraph. Once the journal exceeds
-// `journal_compact_ops` (or an edit remaps node ids), the store
-// compacts by rewriting itself from scratch through Create + rename.
+// `durable_appends` fdatasync barriers). The embedded graph and label
+// sections stay the *base* state; the journal records the edits since
+// together with the labels they added. LoadFullGraph replays the edits,
+// and Open applies the label pairs over the label section in journal
+// order, so an edit that adds a node appends its label, never the whole
+// label section. Once the journal exceeds `journal_compact_ops` (or an
+// edit remaps node ids), the store compacts by rewriting itself from
+// scratch through Create + rename; only a compaction writes a label
+// section.
 //
 // Opening a store loads only the metadata sections (tree, connectivity,
 // labels, directory); leaf subgraphs are read on demand and checked out
@@ -43,8 +51,9 @@
 // NavigationSessions. Frame lookup/insert latching lives in the buffer
 // pool (sharded by (store id, leaf id) hash); the shared FILE* keeps its
 // own mutex for the (seek, read) pairs, and leaf pages decode outside
-// every latch. The metadata accessors (tree/connectivity/labels) are
-// immutable after Open and need no locking.
+// every latch. The metadata accessors (tree/connectivity/labels) change
+// only inside ApplyUpdate, whose contract excludes every reader, and
+// need no locking.
 //
 // There is exactly one cache knob left: the pool's byte budget
 // (BufferPoolOptions::budget_bytes, CLI --mem-budget-mb). The former
@@ -64,6 +73,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -157,6 +167,9 @@ struct GTreeStoreStats {
   uint64_t pinned_bytes = 0;    // resident bytes currently checked out
 };
 
+/// (post-edit node id, label) pairs naming the nodes one edit added.
+using AddedLabels = std::vector<std::pair<graph::NodeId, std::string>>;
+
 /// One repaired state to publish through GTreeStore::ApplyUpdate. All
 /// pointers must outlive the call; `tree`, `graph` (and
 /// `replacement_conn` when set) are consumed by move.
@@ -170,8 +183,15 @@ struct GTreeStoreUpdate {
   /// into the store). Exactly one of the two may be set; neither means
   /// connectivity is unchanged.
   ConnectivityIndex* replacement_conn = nullptr;
-  /// Post-edit labels; nullptr = unchanged.
+  /// The complete post-edit labels, for an edit that renumbers node
+  /// ids. Only a compaction writes a label section, so setting this
+  /// compacts. nullptr = the live labels plus `added_labels`.
   const graph::LabelStore* labels = nullptr;
+  /// Labels of the nodes the edit added. The append path journals them
+  /// with the edit and inserts them into the live labels in place; a
+  /// compaction writes them into its label section. Must be empty when
+  /// `labels` is set.
+  AddedLabels added_labels;
   /// The post-edit full graph (required): written by the compaction
   /// path, and adopted as the store's FullGraph() once the update
   /// commits.
@@ -324,7 +344,8 @@ class GTreeStore {
   Status ApplyUpdate(GTreeStoreUpdate& update,
                      GTreeStoreUpdateStats* stats = nullptr);
 
-  /// Edits currently in the journal (replayed by LoadFullGraph).
+  /// Edits currently in the journal (replayed by LoadFullGraph, their
+  /// labels applied by Open).
   size_t journal_ops() const { return journal_.size(); }
 
   /// The build shape recorded at Create time (levels == 0 if none).
@@ -362,6 +383,12 @@ class GTreeStore {
     uint64_t size = 0;
   };
 
+  /// One journal entry: an edit and the labels of the nodes it added.
+  struct JournalEntry {
+    graph::GraphEdit edit;
+    AddedLabels labels;
+  };
+
   /// (Re)opens `path` and loads every metadata section into this store,
   /// replacing the previous state. Used by Open and the compaction path.
   Status LoadMetadata(const std::string& path);
@@ -395,15 +422,15 @@ class GTreeStore {
   GTreeBuildHints hints_;
   uint32_t num_graph_nodes_ = 0;
   uint64_t applied_lsn_ = 0;
-  /// Edits since the graph section was written (v2 journal).
-  std::vector<graph::GraphEdit> journal_;
+  /// Entries since the graph and label sections were written.
+  std::vector<JournalEntry> journal_;
 
   std::unordered_map<TreeNodeId, PageLocation> directory_;
   PageLocation graph_section_;
   PageLocation labels_section_;
 
   // Guards the (seek, read) pairs on the shared file_ handle; every
-  // other member above is immutable after Open.
+  // other member above changes only under ApplyUpdate.
   mutable std::mutex file_mu_;
   // Bytes read for full-graph loads (bypass the page pool); guarded by
   // file_mu_.

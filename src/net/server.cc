@@ -374,7 +374,8 @@ Response Server::ExecuteEdit(const Request& request, Conn& conn) {
     const size_t ops = edit.num_ops();
     // The batch is gone either way — a failed commit must not be
     // silently retried against a tip it was not built for.
-    auto submitted = edits_->Submit(std::move(edit), std::move(labels));
+    auto submitted = edits_->Submit(
+        std::move(edit), conn.pending_remap_epoch, std::move(labels));
     if (!submitted.ok()) {
       response.status = submitted.status();
       return response;
@@ -399,8 +400,11 @@ Response Server::ExecuteEdit(const Request& request, Conn& conn) {
     return response;
   }
   if (conn.pending_edit == nullptr) {
-    conn.pending_edit =
-        std::make_unique<graph::GraphEdit>(edits_->tip_nodes());
+    // The base and the epoch come from one read: a node removal that
+    // commits before this batch applies must reject it.
+    const core::EditTip tip = edits_->tip();
+    conn.pending_edit = std::make_unique<graph::GraphEdit>(tip.nodes);
+    conn.pending_remap_epoch = tip.remap_epoch;
   }
   const graph::NodeId id =
       QueueEditOp(op.value(), conn.pending_edit.get(), &conn.pending_labels);

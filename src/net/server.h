@@ -95,10 +95,12 @@ struct ConnectionInfo {
 /// outlive the server; the optional prefetcher and edit queue too.
 ///   * `prefetcher`: best-effort child-leaf prefetch on focus changes
 ///     (docs/SERVER.md).
-///   * `edits`: accept EDIT ops (remote mutation). Every closed batch
-///     is built against the queue's tip and committed through it, so
-///     batches from different connections are rebased onto each other
-///     with or without a WAL. The queue's engine must own `pool`.
+///   * `edits`: accept EDIT ops (remote mutation). Every batch is
+///     built against the queue's tip as of its first op and committed
+///     through the queue, so batches from different connections are
+///     rebased onto each other with or without a WAL; a batch that a
+///     node removal overtook answers ERR Aborted. The queue's engine
+///     must own `pool`.
 ///     nullptr = read-only: every EDIT answers ERR NotSupported.
 class Server {
  public:
@@ -146,9 +148,11 @@ class Server {
     LineReader reader;
     std::atomic<uint64_t> requests{0};
     std::atomic<int64_t> last_active{0};     // steady micros
-    // Open EDIT batch (writable servers).
+    // Open EDIT batch (writable servers), and the queue's remap epoch
+    // when it opened.
     std::unique_ptr<graph::GraphEdit> pending_edit;
     std::vector<std::string> pending_labels;
+    uint64_t pending_remap_epoch = 0;
   };
 
   /// The reactor's callbacks: open the connection's session and queue

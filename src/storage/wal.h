@@ -77,7 +77,7 @@ struct WalOptions {
 struct WalRecord {
   uint64_t lsn = 0;
   graph::GraphEdit edit{0};
-  /// Labels for the edit's added nodes, in edit-result order
+  /// Labels for the edit's added nodes, in provisional-id order
   /// (GMineEngine::ApplyEdit's `new_labels`).
   std::vector<std::string> labels;
   /// Byte offset of this record in the file (recovery bookkeeping;

@@ -51,6 +51,29 @@ TEST(CliTest, UnknownCommandFails) {
   EXPECT_NE(st.message().find("unknown command"), std::string::npos);
 }
 
+TEST(CliTest, UnknownFlagIsAUsageErrorNamingIt) {
+  // A misspelled flag must not run with defaults: it fails as a usage
+  // error (exit 2 from the binary) before the store is even opened.
+  std::string out;
+  Status st =
+      RunCli({"edit", "/nonexistent/x.gtree", "--levles", "9"}, &out);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("edit: unknown flag --levles"),
+            std::string::npos)
+      << st.message();
+  // A flag another command reads is still unknown to this one.
+  st = RunCli({"info", "/nonexistent/x.gtree", "--levels", "2"}, &out);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("--levels"), std::string::npos);
+  st = RunCli({"help", "--verbose", "1"}, &out);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  // Flags the command reads still reach it: the store open fails next.
+  EXPECT_TRUE(RunCli({"edit", "/nonexistent/x.gtree", "--wal", "on",
+                      "--group-ops", "4", "--compact-ops", "8"},
+                     &out)
+                  .IsIOError());
+}
+
 TEST(CliTest, FullWorkflowEndToEnd) {
   std::string prefix = Tmp("cli_wf");
   std::string store = Tmp("cli_wf.gtree");

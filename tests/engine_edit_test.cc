@@ -64,6 +64,39 @@ TEST(EngineEditTest, AddAuthorAndCoAuthorship) {
   EXPECT_NE(f.engine->tree().LeafOf(found), gtree::kInvalidTreeNode);
 }
 
+TEST(EngineEditTest, RemovingAnAddedNodeKeepsTheOtherAddedLabel) {
+  // Labels follow provisional ids. The batch adds Alpha and Beta, links
+  // Beta to Jiawei Han and removes Alpha again, so Beta's post-edit id
+  // (the first one past the base graph) must read "Beta", live and
+  // after a reopen.
+  Fixture f = Make("provisional_remove");
+  const uint32_t n = f.dblp.graph.num_nodes();
+  ASSERT_EQ(n, 270u);
+  graph::GraphEdit edit(n);
+  const graph::NodeId alpha = edit.AddNode();
+  const graph::NodeId beta = edit.AddNode();
+  edit.AddEdge(beta, f.dblp.jiawei_han, 2.0f);
+  edit.RemoveNode(alpha);
+  ASSERT_TRUE(f.engine->ApplyEdit(edit, {"Alpha", "Beta"}).ok());
+
+  auto check = [&](const char* context) {
+    SCOPED_TRACE(context);
+    EXPECT_EQ(f.engine->labels().Label(n), "Beta");
+    EXPECT_EQ(f.engine->labels().Find("Beta"), n);
+    EXPECT_EQ(f.engine->labels().Find("Alpha"), graph::kInvalidNode);
+    auto g = f.engine->full_graph();
+    ASSERT_TRUE(g.ok());
+    EXPECT_EQ(g.value()->num_nodes(), n + 1);
+    EXPECT_TRUE(g.value()->HasEdge(n, f.dblp.jiawei_han));
+  };
+  check("live");
+  f.engine.reset();
+  auto reopened = GMineEngine::Open(f.path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  f.engine = std::move(reopened).value();
+  check("reopened");
+}
+
 TEST(EngineEditTest, RemoveEdgeSurvivesReopen) {
   Fixture f = Make("removeedge");
   graph::NodeId han = f.dblp.jiawei_han;

@@ -460,6 +460,90 @@ TEST(EditRepairTest, RecordedBuildShapeGovernsRepair) {
   std::remove(path.c_str());
 }
 
+// Every label slot of the graph, in id order.
+std::string LabelFingerprint(GMineEngine& engine) {
+  std::string out;
+  for (NodeId v = 0; v < engine.store().num_graph_nodes(); ++v) {
+    out += engine.labels().Label(v);
+    out += ';';
+  }
+  return out;
+}
+
+TEST(EditRepairTest, JournaledLabelsMatchTheLiveEngineAfterReopen) {
+  // Label-adding edits on the append path, without a WAL: each edit's
+  // labels go into the store's journal, and a cold reopen applies them
+  // over the label section, so the reopened store answers exactly like
+  // the live one.
+  Fixture f = Make("journal_labels", SmallBuild());
+  const NodeId han = f.dblp.jiawei_han;
+  for (int step = 0; step < 5; ++step) {
+    GraphEdit edit(f.engine->store().num_graph_nodes());
+    const NodeId named = edit.AddNode();
+    const NodeId unnamed = edit.AddNode();
+    edit.AddEdge(named, han, 1.0f);
+    edit.AddEdge(unnamed, named, 1.0f);
+    if (step == 2) edit.AddEdge(0, 1, 1.0f);
+    EditStats stats;
+    ASSERT_TRUE(f.engine
+                    ->ApplyEdit(edit,
+                                {"Journal Author " + std::to_string(step)},
+                                &stats)
+                    .ok());
+    ASSERT_FALSE(stats.compacted) << "step " << step;
+  }
+  // A second "Jiawei Han": Find keeps answering the lowest id.
+  GraphEdit dup(f.engine->store().num_graph_nodes());
+  dup.AddEdge(dup.AddNode(), han, 1.0f);
+  ASSERT_TRUE(f.engine->ApplyEdit(dup, {"Jiawei Han"}).ok());
+  ASSERT_GT(f.engine->store().journal_ops(), 0u);
+
+  auto answers = [&](GMineEngine& engine) {
+    std::vector<NodeId> out;
+    for (int step = 0; step < 5; ++step) {
+      out.push_back(engine.labels().Find("Journal Author " +
+                                         std::to_string(step)));
+    }
+    out.push_back(engine.labels().Find("Jiawei Han"));
+    for (NodeId v : engine.labels().FindByPrefix("Journal Author")) {
+      out.push_back(v);
+    }
+    return out;
+  };
+  const std::string live_labels = LabelFingerprint(*f.engine);
+  const std::vector<NodeId> live_answers = answers(*f.engine);
+  EXPECT_EQ(live_answers[5], han);
+  for (int step = 0; step < 5; ++step) {
+    EXPECT_NE(live_answers[step], graph::kInvalidNode) << "step " << step;
+  }
+  const size_t journal = f.engine->store().journal_ops();
+
+  f.engine.reset();
+  auto reopened = GMineEngine::Open(f.path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  f.engine = std::move(reopened).value();
+  EXPECT_EQ(f.engine->store().journal_ops(), journal);
+  EXPECT_EQ(LabelFingerprint(*f.engine), live_labels);
+  EXPECT_EQ(answers(*f.engine), live_answers);
+}
+
+TEST(EditRepairTest, OneLabelBatchAppendsLessThanTheLabelSection) {
+  // The append path journals the batch's one (id, label) pair; the
+  // store's label section is not written again. The file grows by
+  // exactly the appended bytes.
+  Fixture f = Make("label_bytes", SmallBuild());
+  const uint64_t label_section = f.engine->labels().Serialize().size();
+  const uint64_t size_before = f.engine->store().file_size();
+  GraphEdit edit(f.engine->store().num_graph_nodes());
+  edit.AddEdge(edit.AddNode(), f.dblp.jiawei_han, 1.0f);
+  EditStats stats;
+  ASSERT_TRUE(f.engine->ApplyEdit(edit, {"Byte Counted"}, &stats).ok());
+  ASSERT_FALSE(stats.compacted);
+  const uint64_t appended = f.engine->store().file_size() - size_before;
+  EXPECT_GT(appended, 0u);
+  EXPECT_LT(appended, label_section);
+}
+
 TEST(GraphEditFastTest, ApplyFastMatchesApplyExactly) {
   gen::DblpOptions gopts;
   gopts.levels = 2;

@@ -848,5 +848,61 @@ TEST(NetServerTest, InterleavedBatchesFromTwoConnectionsBothCommit) {
   }
 }
 
+TEST(NetServerTest, BatchOvertakenByANodeRemovalAborts) {
+  // A's batch opens at its first op, naming node 5. B then commits a
+  // node removal (renumbering every id past 0) and a node add, which
+  // brings the tip back to A's base. A's batch was built before the
+  // removal, so applying it must abort instead of landing on the
+  // renumbered node.
+  gen::DblpOptions gopts;
+  gopts.levels = 2;
+  gopts.fanout = 3;
+  gopts.leaf_size = 20;
+  gopts.seed = 7;
+  gen::DblpGraph dblp = std::move(gen::GenerateDblp(gopts)).value();
+  const uint32_t n = dblp.graph.num_nodes();
+  const std::string path =
+      std::string(::testing::TempDir()) + "/net_overtaken.gtree";
+  core::EngineOptions eopts;
+  eopts.build.levels = 2;
+  eopts.build.fanout = 3;
+  auto engine = std::move(core::GMineEngine::Build(dblp.graph, dblp.labels,
+                                                   path, eopts))
+                    .value();
+  core::EditQueue queue(engine.get());
+  Server server(&engine->sessions(), {}, nullptr, &queue);
+  ASSERT_TRUE(server.Start().ok());
+
+  Client a;
+  Client b;
+  ASSERT_TRUE(a.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(b.Connect("127.0.0.1", server.port()).ok());
+  auto queued = a.Roundtrip(StrFormat("edit add-edge 5 %u", n - 1));
+  ASSERT_TRUE(queued.ok());
+  ASSERT_TRUE(queued.value().ok) << queued.value().text;
+  for (const char* op : {"edit remove-node 0", "edit apply",
+                         "edit add-node Filler", "edit apply"}) {
+    auto reply = b.Roundtrip(op);
+    ASSERT_TRUE(reply.ok());
+    ASSERT_TRUE(reply.value().ok) << op << ": " << reply.value().text;
+  }
+  ASSERT_EQ(queue.tip().nodes, n);
+  auto ack = a.Roundtrip("edit apply");
+  ASSERT_TRUE(ack.ok());
+  EXPECT_FALSE(ack.value().ok) << ack.value().text;
+  EXPECT_EQ(ack.value().code, "Aborted") << ack.value().text;
+
+  (void)a.Roundtrip("close");
+  (void)b.Roundtrip("close");
+  a.Close();
+  b.Close();
+  server.Stop();
+  queue.Stop();
+  EXPECT_EQ(queue.stats().committed, 2u);
+  EXPECT_EQ(queue.stats().rejected, 1u);
+  engine.reset();
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace gmine::net

@@ -7,11 +7,13 @@
 
 #include <cstdio>
 
+#include "core/engine.h"
 #include "gen/dblp.h"
 #include "gen/generators.h"
 #include "graph/graph_io.h"
 #include "gtree/builder.h"
 #include "gtree/store.h"
+#include "util/coding.h"
 
 namespace gmine::gtree {
 namespace {
@@ -117,6 +119,86 @@ TEST_P(CorruptionSweep, FlippedBytesNeverCrash) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Offsets, CorruptionSweep, ::testing::Range(0, 16));
+
+constexpr char kJournalLabel[] = "Journal Label";
+
+// A store whose last journal entry names one added node, written by the
+// engine's append path.
+std::string JournaledLabelImage() {
+  gen::DblpOptions gopts;
+  gopts.levels = 2;
+  gopts.fanout = 3;
+  gopts.leaf_size = 20;
+  gopts.seed = 5;
+  gen::DblpGraph dblp = std::move(gen::GenerateDblp(gopts)).value();
+  const std::string path =
+      std::string(::testing::TempDir()) + "/journal_label.gtree";
+  core::EngineOptions opts;
+  opts.build.levels = 2;
+  opts.build.fanout = 3;
+  {
+    auto engine = std::move(core::GMineEngine::Build(
+                                dblp.graph, dblp.labels, path, opts))
+                      .value();
+    graph::GraphEdit edit(dblp.graph.num_nodes());
+    edit.AddEdge(edit.AddNode(), dblp.jiawei_han, 1.0f);
+    core::EditStats stats;
+    EXPECT_TRUE(engine->ApplyEdit(edit, {kJournalLabel}, &stats).ok());
+    EXPECT_FALSE(stats.compacted);
+  }
+  std::string bytes = std::move(graph::ReadFileToString(path)).value();
+  std::remove(path.c_str());
+  return bytes;
+}
+
+// The header (store.cc) starts with magic and version, then twelve
+// fixed64 section fields: the journal's offset and size are the last
+// two, at bytes 88 and 96. Its checksum, Hash64 of the bytes before it,
+// is the last 8 bytes of the 148-byte header.
+constexpr size_t kJournalOffField = 88;
+constexpr size_t kJournalSizeField = 96;
+constexpr size_t kChecksumField = 140;
+
+std::string WithJournalSize(std::string bytes, uint64_t size) {
+  std::string field;
+  PutFixed64(&field, size);
+  bytes.replace(kJournalSizeField, 8, field);
+  std::string checksum;
+  PutFixed64(&checksum,
+             Hash64(std::string_view(bytes.data(), kChecksumField)));
+  bytes.replace(kChecksumField, 8, checksum);
+  return bytes;
+}
+
+Status OpenImage(const std::string& bytes) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "/journal_cut.gtree";
+  EXPECT_TRUE(graph::WriteStringToFile(bytes, path).ok());
+  Status st = GTreeStore::Open(path).status();
+  std::remove(path.c_str());
+  return st;
+}
+
+TEST(StoreRobustnessTest, TruncatedJournalLabelIsCorruption) {
+  const std::string base = JournaledLabelImage();
+  std::string_view fields(base.data() + kJournalOffField, 16);
+  uint64_t journal_off = 0;
+  uint64_t journal_size = 0;
+  ASSERT_TRUE(GetFixed64(&fields, &journal_off));
+  ASSERT_TRUE(GetFixed64(&fields, &journal_size));
+  // The journal is the file's tail, and it ends with the label's text.
+  ASSERT_EQ(journal_off + journal_size, base.size());
+  const size_t label_size = sizeof(kJournalLabel) - 1;
+  ASSERT_EQ(base.substr(base.size() - label_size), kJournalLabel);
+  // Rewriting the field unchanged opens: the patch itself is sound.
+  ASSERT_TRUE(OpenImage(WithJournalSize(base, journal_size)).ok());
+  // Cut the section anywhere in the label's text, its length prefix or
+  // its node id: the entry is truncated, never silently shortened.
+  for (size_t cut = 1; cut <= label_size + 2; ++cut) {
+    const Status st = OpenImage(WithJournalSize(base, journal_size - cut));
+    EXPECT_TRUE(st.IsCorruption()) << "cut " << cut << ": " << st.ToString();
+  }
+}
 
 }  // namespace
 }  // namespace gmine::gtree

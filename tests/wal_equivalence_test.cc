@@ -159,9 +159,10 @@ std::unique_ptr<GMineEngine> RunQueued(const std::string& base_bytes,
     EditQueueOptions qopts;
     qopts.max_group_edits = group_depth;
     EditQueue queue(engine.value().get(), qopts);
+    const uint64_t remap_epoch = queue.tip().remap_epoch;
     std::vector<std::future<core::EditCommit>> futures;
     for (size_t i = 0; i < script.edits.size(); ++i) {
-      auto fut = queue.Submit(script.edits[i], script.labels[i]);
+      auto fut = queue.Submit(script.edits[i], remap_epoch, script.labels[i]);
       EXPECT_TRUE(fut.ok());
       if (fut.ok()) futures.push_back(std::move(fut).value());
     }

@@ -57,6 +57,7 @@ TEST(WalHammerTest, ConcurrentWritersAndNavigators) {
   EditQueueOptions qopts;
   qopts.max_group_edits = 4;
   EditQueue queue(&engine, qopts);
+  const uint64_t remap_epoch = queue.tip().remap_epoch;
 
   std::atomic<bool> done{false};
   std::atomic<int> committed{0};
@@ -79,7 +80,7 @@ TEST(WalHammerTest, ConcurrentWritersAndNavigators) {
         } else {
           edit.RemoveEdge(u, v);
         }
-        auto fut = queue.Submit(std::move(edit));
+        auto fut = queue.Submit(std::move(edit), remap_epoch);
         if (!fut.ok()) {
           ++failures;
           continue;

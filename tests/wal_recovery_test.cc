@@ -372,9 +372,10 @@ void RunCrashChild(const CrashFixture& fx, const std::string& store,
   EditQueueOptions qopts;
   qopts.max_group_edits = 16;
   EditQueue queue(engine.value().get(), qopts);
+  const uint64_t remap_epoch = queue.tip().remap_epoch;
   std::vector<std::future<core::EditCommit>> futures;
   for (const graph::GraphEdit& edit : fx.edits) {
-    auto fut = queue.Submit(edit);
+    auto fut = queue.Submit(edit, remap_epoch);
     if (!fut.ok()) _exit(43);
     futures.push_back(std::move(fut).value());
   }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Docs/CLI drift check: every `gmine <subcommand>` named inside a code
-# block of README.md or docs/*.md must be a real subcommand dispatched
-# in src/cli/commands.cc. Run by CI next to the docs-presence check.
+# block of README.md or docs/*.md must be a real subcommand in the
+# command table of src/cli/commands.cc. Run by CI next to the
+# docs-presence check.
 #
 # Usage: tools/check_docs_cli.sh
 
@@ -9,8 +10,8 @@ set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
-# Real subcommands, straight from the dispatch table.
-subcommands="$(grep -oE 'cmd\.command == "[a-z]+"' \
+# Real subcommands, straight from the command table (Commands()).
+subcommands="$(grep -oE '\{"[a-z]+", Cmd[A-Za-z]+' \
   "$REPO_ROOT/src/cli/commands.cc" | grep -oE '"[a-z]+"' | tr -d '"' |
   sort -u)"
 if [ -z "$subcommands" ]; then
